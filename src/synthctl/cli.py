@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from .errors import SynthctlError
 from .estimators import Method, fit_method
 from .moments import MomentConfig
 from .panel import PanelData, PanelSchema, load_panel
+from .seeding import threads_from_env
 from .simlab import (
     StudySpec,
     Theorem1Spec,
@@ -54,7 +54,7 @@ class _CliError(Exception):
 def _threads(value: int | None) -> int:
     if value is not None:
         return max(1, value)
-    return max(1, int(os.environ.get("SYNTHCTL_THREADS", "1")))
+    return threads_from_env()
 
 
 def _add_panel_args(p: argparse.ArgumentParser) -> None:

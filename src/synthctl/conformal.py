@@ -12,16 +12,17 @@ intervals invert the test over a grid of constant nulls.
 from __future__ import annotations
 
 import csv
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadConfigError, DimensionMismatchError
 from .estimators import Method, estimate_weights, fit_method
 from .moments import MomentConfig
 from .panel import PanelData
+from .seeding import threads_from_env
 from .solver import SolverOptions
 
 __all__ = [
@@ -91,11 +92,9 @@ def _rotation_statistics(abs_resid: np.ndarray, t0: int) -> np.ndarray:
     t = abs_resid.shape[0]
     t1 = t - t0
     doubled = np.concatenate([abs_resid, abs_resid])
-    stats = np.empty(t)
-    for j in range(t):
-        # post positions t0..T-1 rotated by j
-        stats[j] = doubled[t0 + j : t + j].sum() / t1
-    return stats
+    # window j holds the post positions t0..T-1 rotated by j; each row sums
+    # like the contiguous slice doubled[t0 + j : t + j], bit for bit
+    return sliding_window_view(doubled, t1)[t0 : t0 + t].sum(axis=1) / t1
 
 
 def conformal_p_value(
@@ -189,7 +188,7 @@ def confidence_interval(
         return conformal_p_value(panel, NullSpec(alpha), estimator, cfg, opts)
 
     if threads is None:
-        threads = int(os.environ.get("SYNTHCTL_THREADS", "1"))
+        threads = threads_from_env()
     if threads > 1 and grid.size > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             p_values = list(pool.map(one, grid))

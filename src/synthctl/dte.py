@@ -5,6 +5,15 @@ draw resamples one post-period value from every untreated unit, then keeps
 the value of a unit selected with the fitted weights. All randomness flows
 through an explicit 64-bit seed; there is no global RNG state. Parallel
 replications must derive distinct child seeds (see ``synthctl.seeding``).
+
+The MMD permutation test runs in O(n * (block + P)) memory for n pooled
+values and P permutations, never O(n^2). The median-heuristic bandwidth is
+an exact selection over the sorted sample, bit-identical to the median of
+the dense pairwise differences. The Gaussian kernel is formed one strip of
+rows at a time (at most 2**20 entries, upper block triangle only, since the
+kernel is symmetric); each strip adds to the row sums and to one product
+with the n x (P + 1) matrix of 0/1 split indicators, which scores the
+observed split and every permutation together.
 """
 
 from __future__ import annotations
@@ -124,34 +133,160 @@ def save_draws(sample: BootstrapSample, target) -> None:
         writer.writerow([repr(float(value))])
 
 
+# One kernel strip holds at most this many float64 values (8 MiB), so the
+# MMD test needs O(n * (block + permutations)) memory for n pooled values.
+_STRIP_ELEMS = 1 << 20
+# Pivot sampling in the pairwise-difference selection: sample size, and how
+# many sample ranks each pivot sits from the target rank (at least four
+# standard deviations of the target's rank within the sample).
+_PIVOT_SAMPLE = 1024
+_PIVOT_SPREAD = 64
+
+
+def _count_diffs_le(s, lo, hi, thresholds) -> np.ndarray:
+    """Per threshold t and row a, #{b in [lo[a], hi[a]) : s[b] - s[a] <= t}.
+
+    A binary search on the computed differences themselves: for sorted s and
+    a fixed row they are monotone in b, because rounding is monotone.
+    """
+    base = s[:-1]
+    last = s.shape[0] - 1
+    t = np.asarray(thresholds, dtype=float)[:, None]
+    left = np.tile(lo, (t.shape[0], 1))
+    right = np.tile(hi, (t.shape[0], 1))
+    while True:
+        open_ = left < right
+        if not open_.any():
+            return left - lo
+        mid = (left + right) >> 1
+        ok = open_ & (s[np.minimum(mid, last)] - base <= t)
+        left = np.where(ok, mid + 1, left)
+        right = np.where(open_ & ~ok, mid, right)
+
+
+def _kth_pair_diff(s: np.ndarray, k: int) -> float:
+    """The k-th smallest (0-based) of s[b] - s[a] over a < b, for sorted s.
+
+    Row a's candidates are the columns [lo[a], hi[a]). Each round samples
+    the candidates, takes two sampled values that bracket rank k, counts
+    the candidates below and up to each by binary search, and keeps only
+    the ranges that can still hold rank k. Once at most 8n candidates are
+    left they are gathered and partitioned. Every value compared is a
+    difference computed as s[b] - s[a], the same floating-point numbers as
+    |x_i - x_j|, so the result is exact.
+    """
+    n = s.shape[0]
+    rows = np.arange(n - 1)
+    lo, hi = rows + 1, np.full(n - 1, n)
+    rng = np.random.default_rng(0)  # picks pivots only, never the result
+
+    def gather(flat):
+        r = np.searchsorted(ends, flat, side="right")
+        return s[lo[r] + flat - (ends[r] - counts[r])] - s[r]
+
+    while True:
+        counts = hi - lo
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
+        if total <= 8 * n:
+            return float(np.partition(gather(np.arange(total)), k)[k])
+        sample = np.sort(gather(rng.integers(0, total, _PIVOT_SAMPLE)))
+        centre = int((k + 0.5) / total * _PIVOT_SAMPLE)
+        v_lo = sample[max(centre - _PIVOT_SPREAD, 0)]
+        v_hi = sample[min(centre + _PIVOT_SPREAD, _PIVOT_SAMPLE - 1)]
+        below_lo, below_hi = np.nextafter([v_lo, v_hi], -np.inf)
+        c = _count_diffs_le(s, lo, hi, [below_lo, v_lo, below_hi, v_hi])
+        lt_lo, le_lo, lt_hi, le_hi = (int(x) for x in c.sum(axis=1))
+        # each branch drops at least one sampled pivot, so the loop ends
+        if k < lt_lo:
+            hi = lo + c[0]
+        elif k < le_lo:
+            return float(v_lo)
+        elif k < lt_hi:
+            lo, hi = lo + c[1], lo + c[2]
+            k -= le_lo
+        elif k < le_hi:
+            return float(v_hi)
+        else:
+            lo = lo + c[3]
+            k -= le_hi
+
+
 def _median_bandwidth(pooled: np.ndarray) -> float:
-    diffs = np.abs(pooled[:, None] - pooled[None, :])
-    iu = np.triu_indices(pooled.shape[0], k=1)
-    med = float(np.median(diffs[iu]))
+    """Median of |x_i - x_j| over pairs i < j, bit for bit as np.median.
+
+    Selection on the sorted sample instead of materialising the n(n-1)/2
+    differences: O(n) memory and O(n log n) time per selection round. Falls
+    back to 1.0 when the median is not positive (constant data) or is NaN.
+    """
+    s = np.sort(pooled)  # NaNs sort last
+    if np.isnan(s[-1]) or s[1] == -np.inf or s[-2] == np.inf:
+        return 1.0  # a NaN, or inf - inf between repeated infinities: NaN median
+    n = s.shape[0]
+    m = n * (n - 1) // 2
+    med = _kth_pair_diff(s, (m - 1) // 2)
+    if m % 2 == 0:
+        med = (med + _kth_pair_diff(s, m // 2)) / 2.0
     return med if med > 0 else 1.0
 
 
-def _mmd2_terms(kernel: np.ndarray, mask: np.ndarray, n_a: int, n_b: int) -> float:
-    """Unbiased squared MMD from a pooled kernel matrix and a sample-A mask."""
-    z = mask.astype(float)
-    zb = 1.0 - z
-    kz = kernel @ z
-    kzb = kernel.sum(axis=1) - kz
-    quad_a = float(z @ kz) - n_a  # remove the unit diagonal
-    quad_b = float(zb @ kzb) - n_b
-    cross = float(z @ kzb)
+def _mmd2_splits(pooled: np.ndarray, h: float, masks: np.ndarray) -> np.ndarray:
+    """Unbiased squared MMD for every split of the pooled sample at once.
+
+    Column p of ``masks`` (n x P, 0/1) marks the members of the smaller
+    sample S under split p; L is the rest. The kernel is walked in strips;
+    each adds to its row sums r and to q = diag(M' K M), the within-S sums
+    including the unit diagonal. With t = r'M and s = sum(r):
+    cross = t - q and the within-L sum = s - 2t + q, so neither the n x n
+    kernel nor the n x P product K M is ever held. Marking the smaller
+    sample keeps the cancellation in both derived sums small.
+
+    Strip K[start:stop, start:] covers the upper block triangle only (K is
+    symmetric) and holds at most _STRIP_ELEMS values. Its entries
+    exp(-(x_i - x_j)**2 / (2 h^2)) are formed with the same operations as
+    the dense matrix, so each is bit-identical to it.
+    """
+    n, splits = masks.shape
+    n_s = int(masks[:, 0].sum())
+    n_l = n - n_s
+    rows = max(1, _STRIP_ELEMS // n)
+    scale = 2.0 * h * h
+    r = np.zeros(n)
+    q = np.zeros(splits)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        width = stop - start
+        strip = pooled[start:stop, None] - pooled[None, start:]
+        np.square(strip, out=strip)
+        np.negative(strip, out=strip)
+        np.divide(strip, scale, out=strip)
+        np.exp(strip, out=strip)
+        r[start:stop] += strip.sum(axis=1)
+        r[stop:] += strip[:, width:].sum(axis=0)
+        # right of the diagonal block, each entry stands for K[i, j] and K[j, i]
+        strip[:, width:] *= 2.0
+        q += np.einsum("ij,ij->j", masks[start:stop], strip @ masks[start:])
+    t = r @ masks
+    cross = t - q
+    quad_l = r.sum() - 2.0 * t + q - n_l
+    quad_s = q - n_s  # remove the unit diagonal
     return (
-        quad_a / (n_a * (n_a - 1))
-        + quad_b / (n_b * (n_b - 1))
-        - 2.0 * cross / (n_a * n_b)
+        quad_s / (n_s * (n_s - 1))
+        + quad_l / (n_l * (n_l - 1))
+        - 2.0 * cross / (n_s * n_l)
     )
+
+
+def _smaller_sample(n_a: int, n_b: int) -> slice:
+    """Positions, within a permutation of the pooled sample, of the smaller sample."""
+    return slice(0, n_a) if n_a <= n_b else slice(n_a, n_a + n_b)
 
 
 def mmd_squared(a, b, bandwidth: float | None = None) -> float:
     """Unbiased squared-MMD estimate with a Gaussian kernel (no test).
 
     The bandwidth defaults to the median pairwise distance of the pooled
-    sample.
+    sample. Computed by the same blocked routine as ``mmd_test``.
     """
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
@@ -160,11 +295,9 @@ def mmd_squared(a, b, bandwidth: float | None = None) -> float:
         raise DimensionMismatchError("both samples need at least 2 observations")
     pooled = np.concatenate([a, b])
     h = _median_bandwidth(pooled) if bandwidth is None else float(bandwidth)
-    sq = (pooled[:, None] - pooled[None, :]) ** 2
-    kernel = np.exp(-sq / (2.0 * h * h))
-    mask = np.zeros(pooled.shape[0], dtype=bool)
-    mask[:n_a] = True
-    return _mmd2_terms(kernel, mask, n_a, n_b)
+    masks = np.zeros((n_a + n_b, 1))
+    masks[_smaller_sample(n_a, n_b)] = 1.0
+    return float(_mmd2_splits(pooled, h, masks)[0])
 
 
 def mmd_test(a, b, permutations: int = 500, seed: int = 0) -> MmdReport:
@@ -174,6 +307,14 @@ def mmd_test(a, b, permutations: int = 500, seed: int = 0) -> MmdReport:
     on the pooled sample (permutation-invariant, so exchangeability under the
     null is preserved). The p-value is (1 + #{permuted >= observed}) divided
     by (permutations + 1), hence always at least 1/(permutations + 1).
+    Permutation p takes the first len(a) entries of the p-th
+    ``rng.permutation(n)`` as sample A.
+
+    Memory is O(n * (block + permutations)) for n pooled values: the
+    bandwidth comes from a selection on the sorted sample, and the observed
+    split and every permutation are evaluated together while the kernel is
+    formed one strip of at most 2**20 entries at a time (see
+    ``_mmd2_splits``). No n x n array is built.
     """
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
@@ -185,31 +326,24 @@ def mmd_test(a, b, permutations: int = 500, seed: int = 0) -> MmdReport:
     pooled = np.concatenate([a, b])
     n = n_a + n_b
     h = _median_bandwidth(pooled)
-    sq = (pooled[:, None] - pooled[None, :]) ** 2
-    kernel = np.exp(-sq / (2.0 * h * h))
-
-    base_mask = np.zeros(n, dtype=bool)
-    base_mask[:n_a] = True
-    observed = _mmd2_terms(kernel, base_mask, n_a, n_b)
 
     rng = np.random.default_rng(seed)
-    # all permutation masks at once: one matmul instead of a Python loop
-    masks = np.zeros((n, permutations))
-    for col in range(permutations):
-        masks[rng.permutation(n)[:n_a], col] = 1.0
-    kz = kernel @ masks
-    row_sums = kernel.sum(axis=1)
-    quad_a = np.einsum("ij,ij->j", masks, kz) - n_a
-    zb = 1.0 - masks
-    kzb = row_sums[:, None] - kz
-    quad_b = np.einsum("ij,ij->j", zb, kzb) - n_b
-    cross = np.einsum("ij,ij->j", masks, kzb)
-    stats = (
-        quad_a / (n_a * (n_a - 1))
-        + quad_b / (n_b * (n_b - 1))
-        - 2.0 * cross / (n_a * n_b)
-    )
-    exceed = int(np.count_nonzero(stats >= observed))
+    smaller = _smaller_sample(n_a, n_b)
+    # column 0 is the observed split, column p the p-th permutation
+    masks = np.zeros((n, permutations + 1))
+    masks[smaller, 0] = 1.0
+    for col in range(1, permutations + 1):
+        perm = rng.permutation(n)
+        marked = perm[smaller]
+        if n_a == n_b and not (marked == 0).any():
+            # a split and its mirror score the same; marking the half that
+            # holds pooled position 0 gives both one column, so they tie
+            # exactly
+            marked = perm[n_a:]
+        masks[marked, col] = 1.0
+    stats = _mmd2_splits(pooled, h, masks)
+    observed = float(stats[0])
+    exceed = int(np.count_nonzero(stats[1:] >= observed))
     p = (1 + exceed) / (permutations + 1)
     return MmdReport(
         mmd2=observed, p_value=p, bandwidth=h, permutations=permutations

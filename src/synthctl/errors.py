@@ -73,3 +73,7 @@ class EmptyPostError(SynthctlError):
 
 class BadProbError(SynthctlError):
     code = "BAD_PROB"
+
+
+class BadThreadsError(SynthctlError):
+    code = "BAD_THREADS"

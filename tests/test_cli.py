@@ -127,6 +127,21 @@ def test_conformal_bad_level(capsys):
     assert "BAD_LEVEL" in capsys.readouterr().err
 
 
+def test_conformal_bad_threads_env(monkeypatch, capsys):
+    monkeypatch.setenv("SYNTHCTL_THREADS", "abc")
+    code = main(
+        [
+            "conformal",
+            "--input", str(DATA / "toy_panel.csv"),
+            "--treated", "treated",
+            "--t0", "10",
+            "--g", "2",
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: BAD_THREADS: ")
+
+
 def test_conformal_warns_on_grid_edge(tmp_path, capsys):
     code = main(
         [
@@ -303,6 +318,16 @@ def test_simulate_threads_do_not_change_results(tmp_path, monkeypatch):
     monkeypatch.setenv("SYNTHCTL_THREADS", "4")
     assert main(base + ["--output-dir", str(out_b)]) == 0
     assert (out_a / "records.csv").read_text() == (out_b / "records.csv").read_text()
+
+
+def test_simulate_bad_threads_env(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SYNTHCTL_THREADS", "abc")
+    code = main(
+        ["simulate", "--replications", "1", "--j", "3", "--g", "2",
+         "--output-dir", str(tmp_path)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: BAD_THREADS: ")
 
 
 def test_simulate_config_file_with_flag_override(tmp_path):

@@ -14,7 +14,7 @@ from synthctl.conformal import (
     default_grid,
     save_p_curve,
 )
-from synthctl.errors import BadConfigError
+from synthctl.errors import BadConfigError, BadThreadsError
 from synthctl.estimators import Method
 from synthctl.moments import MomentConfig
 from synthctl.panel import PanelData
@@ -79,6 +79,36 @@ def test_vector_null_accepted():
     assert 0 < p <= 1.0
     with pytest.raises(Exception):
         conformal_p_value(panel, NullSpec(np.array([0.0, 1.0])), Method.DMSCM)
+
+
+def rotation_statistics_loop(abs_resid, t0):
+    """The per-rotation loop the windowed sum replaced, kept as the reference."""
+    t = abs_resid.shape[0]
+    doubled = np.concatenate([abs_resid, abs_resid])
+    stats = np.empty(t)
+    for j in range(t):
+        stats[j] = doubled[t0 + j : t + j].sum() / (t - t0)
+    return stats
+
+
+def test_rotation_statistics_bitwise_equal_to_loop():
+    rng = np.random.default_rng(23)
+    # T1 = T - T0 covers 1, odd and even values, and lengths past numpy's
+    # pairwise-summation block of 8
+    for t, t0 in [(2, 1), (9, 8), (12, 5), (12, 6), (40, 11), (300, 150), (301, 27)]:
+        for _ in range(5):
+            abs_resid = np.abs(rng.standard_normal(t) * rng.exponential(10.0))
+            assert np.array_equal(
+                _rotation_statistics(abs_resid, t0), rotation_statistics_loop(abs_resid, t0)
+            )
+
+
+def test_bad_threads_env_is_a_user_error(monkeypatch):
+    cfg = MixtureDgpConfig(j=3, t0=10, t1=3, k=0, tau=0.0, stationary=True, seed=5)
+    panel, _ = gen_mixture_dgp(cfg)
+    monkeypatch.setenv("SYNTHCTL_THREADS", "abc")
+    with pytest.raises(BadThreadsError):
+        confidence_interval(panel, [0.0, 1.0], 0.1, Method.DMSCM, MomentConfig(g=2))
 
 
 def test_rotation_statistic_monotone_in_post_block():

@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synthctl.dte import (
+    _median_bandwidth,
     bootstrap_counterfactual,
     mmd_squared,
     mmd_test,
@@ -187,3 +189,141 @@ def test_mmd_report_schema():
     report = mmd_test(rng.normal(0, 1, 30), rng.normal(0, 1, 30), 50, 3)
     schema = json.loads(open("src/synthctl/schemas/mmd_report.schema.json").read())
     jsonschema.validate(report.to_json_dict(), schema)
+
+
+# Dense reference: the MMD computation the blocked code replaced, with n x n
+# kernel and difference matrices (here the observed split is column 0 of the
+# same product as the permutations). The blocked code must reproduce its
+# bandwidth and p-values exactly.
+def dense_median_bandwidth(pooled):
+    diffs = np.abs(pooled[:, None] - pooled[None, :])
+    iu = np.triu_indices(pooled.shape[0], k=1)
+    med = float(np.median(diffs[iu]))
+    return med if med > 0 else 1.0
+
+
+def dense_mmd_stats(a, b, permutations, seed):
+    """Statistics of the observed split (entry 0) and each permutation."""
+    n_a, n_b = a.shape[0], b.shape[0]
+    pooled = np.concatenate([a, b])
+    n = n_a + n_b
+    h = dense_median_bandwidth(pooled)
+    kernel = np.exp(-((pooled[:, None] - pooled[None, :]) ** 2) / (2.0 * h * h))
+    rng = np.random.default_rng(seed)
+    masks = np.zeros((n, permutations + 1))
+    masks[:n_a, 0] = 1.0
+    for col in range(1, permutations + 1):
+        masks[rng.permutation(n)[:n_a], col] = 1.0
+    kz = kernel @ masks
+    zb = 1.0 - masks
+    kzb = kernel.sum(axis=1)[:, None] - kz
+    quad_a = np.einsum("ij,ij->j", masks, kz) - n_a
+    quad_b = np.einsum("ij,ij->j", zb, kzb) - n_b
+    cross = np.einsum("ij,ij->j", masks, kzb)
+    stats = (
+        quad_a / (n_a * (n_a - 1))
+        + quad_b / (n_b * (n_b - 1))
+        - 2.0 * cross / (n_a * n_b)
+    )
+    return stats, h
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1.5, -2.0],  # n = 2: one pair
+        [0.0, 3.0, -1.0],  # n = 3: odd pair count
+        [4.0, 4.0, -4.0, 1.0],  # n = 4: even pair count, a tie
+        [2.0, 2.0, 2.0, 2.0, 7.5],  # duplicates hold the median
+        [-5.0, -5.0, -1.0, -3.0, -1.0, -9.0],  # negative values with ties
+        [0.1, 0.2, 0.3, 1e-300, -1e-300, 0.0],  # rounding-sensitive differences
+        [6.5] * 9,  # constant data: median 0 falls back to 1.0
+        [0.0, 1.0, np.inf],  # one infinity: finite median
+        [0.0, np.inf, np.inf, 2.0],  # repeated infinity: NaN median, fallback
+        [1.0, np.nan, 2.0],  # NaN: NaN median, fallback
+    ],
+)
+def test_median_bandwidth_matches_dense_small(values):
+    pooled = np.array(values)
+    with np.errstate(invalid="ignore"):
+        expected = dense_median_bandwidth(pooled)
+    assert _median_bandwidth(pooled) == expected
+
+
+@pytest.mark.parametrize("n", [17, 18, 200, 201, 1500])
+def test_median_bandwidth_matches_dense_bitwise(n):
+    # sizes past 8n pairs go through the sampled narrowing rounds; draws from
+    # a few values (as bootstrap draws are) leave the median inside a tie
+    rng = np.random.default_rng(n)
+    cases = [
+        rng.normal(0.0, 3.0, n),
+        rng.choice(rng.normal(0.0, 1.0, 9), n),
+        np.round(rng.normal(-2.0, 1.0, n), 1),
+        rng.integers(-3, 3, n).astype(float) * 0.1,
+    ]
+    for pooled in cases:
+        assert _median_bandwidth(pooled) == dense_median_bandwidth(pooled)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=2, max_size=80), st.floats(1e-3, 1e3))
+def test_median_bandwidth_property(ints, scale):
+    pooled = np.array(ints, dtype=float) * scale
+    assert _median_bandwidth(pooled) == dense_median_bandwidth(pooled)
+
+
+@pytest.mark.parametrize(
+    "n_a, n_b, permutations, shift, seeds",
+    [(100, 2000, 500, 0.5, (0, 1, 2)), (100, 2000, 500, 0.0, (3,)),
+     (200, 200, 200, 0.0, range(5)), (200, 200, 200, 0.3, range(5, 8))],
+)
+@pytest.mark.parametrize("swap", [False, True])
+def test_mmd_test_matches_dense_reference(n_a, n_b, permutations, shift, seeds, swap):
+    for seed in seeds:
+        rng = np.random.default_rng(1000 + seed)
+        a = rng.normal(0.0, 1.0, n_a)
+        b = rng.normal(shift, 1.2, n_b)
+        if swap:
+            a, b = b, a
+        stats, h = dense_mmd_stats(a, b, permutations, seed)
+        mmd2 = stats[0]
+        p = (1 + np.count_nonzero(stats[1:] >= mmd2)) / (permutations + 1)
+        report = mmd_test(a, b, permutations=permutations, seed=seed)
+        assert report.bandwidth == h
+        assert report.p_value == p
+        # mmd2 is a difference of kernel averages of size up to 1, so either
+        # summation order is exact to a few ulps of 1, not of mmd2 itself:
+        # under the null (mmd2 near 0) the relative gap can exceed 1e-12
+        assert report.mmd2 == pytest.approx(mmd2, rel=1e-12, abs=1e-14)
+        assert mmd_squared(a, b) == pytest.approx(mmd2, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("n_a, n_b", [(2, 2), (3, 3), (2, 3), (3, 2), (4, 4)])
+def test_mmd_repeated_splits_tie_with_observed(n_a, n_b):
+    # with a handful of values, permutations often repeat the observed split
+    # or, for equal sample sizes, its mirror; both have the observed
+    # statistic exactly and must count as ">= observed"
+    rng = np.random.default_rng(100 * n_a + n_b)
+    for seed in range(20):
+        a, b = rng.normal(0.0, 1.0, n_a), rng.normal(0.5, 1.0, n_b)
+        stats, _ = dense_mmd_stats(a, b, 30, seed)
+        ties_included = np.count_nonzero(stats[1:] >= stats[0] - 1e-12)
+        report = mmd_test(a, b, permutations=30, seed=seed)
+        assert report.p_value == (1 + ties_included) / 31
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_mmd_test_memory_is_bounded(swap):
+    # the dense path needs more than 2 GB here (several 10100 x 10100 arrays)
+    rng = np.random.default_rng(44)
+    a, b = rng.normal(0.0, 1.0, 100), rng.normal(0.2, 1.0, 10_000)
+    if swap:
+        a, b = b, a
+    tracemalloc.start()
+    try:
+        report = mmd_test(a, b, permutations=500, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 2**20
+    assert 1.0 / 501 <= report.p_value <= 1.0
