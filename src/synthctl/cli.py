@@ -1,7 +1,8 @@
 """Command-line front-end: fits, conformal inference, DTE, simulation studies.
 
-Exit codes: 0 on success, 1 on user or input errors, 2 on internal errors.
-Failures print one machine-parseable line to stderr: ``error: CODE: message``.
+Exit codes: 0 on success, 1 on user or input errors (usage mistakes and
+unwritable output paths included), 2 on internal errors. Failures print one
+machine-parseable line to stderr: ``error: CODE: message``.
 Every command that takes --seed is bit-reproducible, and worker-thread counts
 never change results (seeds derive from task indices, outputs keep task
 order).
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -49,6 +51,18 @@ class _CliError(Exception):
         super().__init__(message)
         self.code = code
         self.message = message
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage mistakes are user errors (exit 1, ``USAGE``).
+
+    Subparsers inherit this class through ``parser_class``; ``--help`` still
+    exits 0.
+    """
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise _CliError("USAGE", message)
 
 
 def _threads(value: int | None) -> int:
@@ -114,9 +128,19 @@ def _solver_options(args) -> SolverOptions:
     return SolverOptions(tol=args.tol, max_iter=args.max_iter)
 
 
-def _write_json(payload: dict, path: str | None) -> None:
+@contextlib.contextmanager
+def _writing(path):
+    """Report a failed output write as a user error (``IO_WRITE``), not an internal one."""
+    try:
+        yield
+    except OSError as exc:
+        raise _CliError("IO_WRITE", f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write_json(payload: dict, path) -> None:
     if path:
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        with _writing(path):
+            Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def cmd_fit(args) -> int:
@@ -153,7 +177,8 @@ def cmd_conformal(args) -> int:
     )
     _write_json(report.to_json_dict(), args.output)
     if args.csv:
-        save_p_curve(report, args.csv)
+        with _writing(args.csv):
+            save_p_curve(report, args.csv)
     fit = fit_method(panel, estimator, cfg, opts)
     lo = "-inf" if report.lower is None else f"{report.lower:.6f}"
     hi = "+inf" if report.upper is None else f"{report.upper:.6f}"
@@ -175,7 +200,8 @@ def cmd_dte(args) -> int:
     )
     sample = bootstrap_counterfactual(panel, fit.weights, args.l, args.seed)
     if args.draws_out:
-        save_draws(sample, args.draws_out)
+        with _writing(args.draws_out):
+            save_draws(sample, args.draws_out)
     probs = [float(p) for p in args.probs.split(",") if p.strip()]
     qs = quantiles(sample, probs)
     payload = {
@@ -265,7 +291,8 @@ def cmd_simulate(args) -> int:
     if out_dir is None:
         raise _CliError("BAD_OUTPUT", "--output-dir (or config output_dir) is required")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
 
     if args.preset == "theorem1":
         spec = Theorem1Spec(
@@ -273,9 +300,7 @@ def cmd_simulate(args) -> int:
             replications=overrides.get("replications", 100),
         )
         result = theorem1_experiment(spec)
-        (out / "theorem1.json").write_text(
-            json.dumps(result, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_json(result, out / "theorem1.json")
         print(
             f"ols_mean: {result['ols_mean']}\n"
             f"predicted_limit: {result['predicted_limit']}\n"
@@ -291,11 +316,11 @@ def cmd_simulate(args) -> int:
         overrides.setdefault("x_axis", "j")
         spec = StudySpec(**overrides)
     result = run_replication_study(spec, threads=_threads(args.threads))
-    result.save_records_csv(out / "records.csv")
-    (out / "aggregates.json").write_text(
-        json.dumps(result.aggregates_json_dict(), indent=2) + "\n", encoding="utf-8"
-    )
-    result.save_figure_csv(out / "figure.csv")
+    with _writing(out / "records.csv"):
+        result.save_records_csv(out / "records.csv")
+    _write_json(result.aggregates_json_dict(), out / "aggregates.json")
+    with _writing(out / "figure.csv"):
+        result.save_figure_csv(out / "figure.csv")
     print(
         f"study complete: {len(result.records)} records, "
         f"{len(result.aggregates)} cells -> {out}"
@@ -304,7 +329,7 @@ def cmd_simulate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="synthctl",
         description="Density-matching synthetic control estimation and inference",
     )
@@ -361,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc.code}: {exc.message}", file=sys.stderr)

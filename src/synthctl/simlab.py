@@ -534,6 +534,8 @@ class Theorem1Spec:
             raise BadConfigError("w_star, q_diag, sigma_diag must share a length")
         if self.t0_large < 2:
             raise BadConfigError("t0_large must be at least 2")
+        if self.replications < 1:
+            raise BadConfigError("need at least one replication")
 
 
 def _theorem1_panel(spec: Theorem1Spec, seed: int) -> PanelData:

@@ -74,6 +74,42 @@ def test_fit_missing_input(tmp_path, capsys):
     assert "\n" not in err.strip()
 
 
+def test_fit_unwritable_output_is_user_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = fit_args(tmp_path)
+    args[args.index("--output") + 1] = str(blocker / "fit.json")
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: IO_WRITE:")
+    assert "\n" not in err.strip()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["fit"],
+        ["fit", "--input", "x.csv", "--treated", "t", "--t0", "abc"],
+        ["simulate", "--preset", "bogus"],
+    ],
+)
+def test_usage_errors_exit_1(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[0].startswith("usage: synthctl")
+    assert err[-1].startswith("error: USAGE: ")
+    assert sum(line.startswith("error: ") for line in err) == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: synthctl" in capsys.readouterr().out
+
+
 def test_fit_propagates_panel_errors(capsys):
     code = main(
         [
@@ -372,3 +408,25 @@ def test_simulate_config_file_with_flag_override(tmp_path):
 def test_simulate_requires_output_dir(capsys):
     assert main(["simulate", "--replications", "1"]) == 1
     assert "BAD_OUTPUT" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("replications", ["0", "-1"])
+def test_simulate_theorem1_needs_a_replication(tmp_path, capsys, replications):
+    code = main(
+        ["simulate", "--preset", "theorem1", "--replications", replications,
+         "--output-dir", str(tmp_path)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: BAD_CONFIG: ")
+    assert not (tmp_path / "theorem1.json").exists()
+
+
+def test_simulate_unwritable_output_dir_is_user_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(
+        ["simulate", "--replications", "1", "--j", "3", "--g", "2",
+         "--output-dir", str(blocker / "out")]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: IO_WRITE: ")

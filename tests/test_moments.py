@@ -56,6 +56,44 @@ def test_overflow_raised_and_scaling_prevents_it():
         assert np.isfinite(system.b_vector).all()
 
 
+def test_overflow_still_raised_by_running_product():
+    # (1e80)^4 already exceeds the double range, so order 5 is infinite
+    vals = 1e80 * np.array([1.0, -2.0, 3.0, 1.5, 2.0])
+    panel = panel_from(vals, [vals[::-1]], t0=4)
+    with pytest.raises(MomentOverflowError):
+        build_system(panel, MomentConfig(g=5, scaling="none"))
+
+
+def _pow_reference(panel, system):
+    """Per-order row means by ``x**g``, the construction the running product replaced."""
+    pre = panel.outcomes[:, : panel.t0]
+    if system.demeaned:
+        pre = pre - pre.mean(axis=1, keepdims=True)
+    scaled = pre / system.scale
+    return np.array([np.mean(scaled**g, axis=1) for g in system.gamma_orders]), scaled
+
+
+@pytest.mark.parametrize("scaling", ["none", "pooled_sd", "max_abs"])
+@pytest.mark.parametrize("builder", [build_system, build_demeaned_system])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_running_product_matches_pow_reference(scaling, builder, seed):
+    rng = np.random.default_rng(seed)
+    # negative values, mixed signs and magnitudes around 1, so every sign of
+    # the odd powers and every scaling path is exercised
+    outcomes = rng.normal(-0.5, 1.5, (4, 60)) * rng.uniform(0.5, 2.0, (4, 1))
+    panel = panel_from(outcomes[0], list(outcomes[1:]), t0=50)
+    system = builder(panel, MomentConfig(g=10, scaling=scaling))
+    ref, scaled = _pow_reference(panel, system)
+    got = np.column_stack([system.b_vector, system.a_matrix])
+    # odd moments can sit near 0, so the floor scales with the row's |x|^g mean
+    floor = 1e-13 * np.array(
+        [np.mean(np.abs(scaled) ** g, axis=1) for g in system.gamma_orders]
+    )
+    assert (np.abs(got - ref) <= 1e-13 * np.abs(ref) + floor).all()
+    # order 1 is the scaled series itself and order 2 is x*x == x**2 bit for bit
+    np.testing.assert_array_equal(got[:2], ref[:2])
+
+
 def test_magnitude_20_does_not_overflow_at_g100():
     # 20^100 ~ 1.3e130 is large but still finite in a double
     vals = 20.0 - np.arange(6) * 0.1

@@ -48,6 +48,18 @@ def test_load_simple_panel():
     np.testing.assert_array_equal(panel.treated_outcomes, [1.0, 2.0, 3.0, 4.0])
 
 
+def test_default_period_labels_built_once_per_length():
+    outcomes = np.random.default_rng(0).normal(size=(2, 7))
+    a = PanelData(units=("tr", "u"), outcomes=outcomes, t0=4)
+    b = PanelData(units=("x", "y"), outcomes=outcomes + 1.0, t0=5)
+    assert a.period_labels == tuple(range(1, 8))
+    assert a.period_labels is b.period_labels
+    explicit = PanelData(
+        units=("tr", "u"), outcomes=outcomes, t0=4, period_labels=list("abcdefg")
+    )
+    assert explicit.period_labels == tuple("abcdefg")
+
+
 def test_treated_moved_to_front():
     panel = load_panel(csv_stream(SIMPLE_CSV), PanelSchema(), treated="B", t0=2)
     assert panel.units == ("B", "A", "C")

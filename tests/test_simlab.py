@@ -7,7 +7,7 @@ import pytest
 import jsonschema
 
 from synthctl.dte import mmd_test
-from synthctl.errors import SynthctlError
+from synthctl.errors import BadConfigError, SynthctlError
 from synthctl.estimators import Method
 from synthctl.seeding import derive_seed, splitmix64
 from synthctl.simlab import (
@@ -265,6 +265,12 @@ def test_theorem1_halving_noise_shrinks_bias():
     err_full = np.abs(np.array(res_full["ols_mean"]) - w).max()
     err_half = np.abs(np.array(res_half["ols_mean"]) - w).max()
     assert err_half < err_full
+
+
+@pytest.mark.parametrize("replications", [0, -1])
+def test_theorem1_needs_a_replication(replications):
+    with pytest.raises(BadConfigError, match="at least one replication"):
+        Theorem1Spec(replications=replications)
 
 
 def test_theorem1_result_schema():
