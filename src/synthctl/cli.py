@@ -290,15 +290,24 @@ def cmd_simulate(args) -> int:
         out_dir = args.output_dir
     if out_dir is None:
         raise _CliError("BAD_OUTPUT", "--output-dir (or config output_dir) is required")
-    out = Path(out_dir)
-    with _writing(out):
-        out.mkdir(parents=True, exist_ok=True)
-
+    # build (and so validate) the spec first: a rejected spec leaves no directory
     if args.preset == "theorem1":
         spec = Theorem1Spec(
             seed=overrides.get("base_seed", 0),
             replications=overrides.get("replications", 100),
         )
+    elif args.preset == "figure2":
+        spec = figure2_spec(**overrides)
+    elif args.preset == "appendixD":
+        spec = appendix_d_spec(**overrides)
+    else:
+        overrides.setdefault("x_axis", "j")
+        spec = StudySpec(**overrides)
+    out = Path(out_dir)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+
+    if args.preset == "theorem1":
         result = theorem1_experiment(spec)
         _write_json(result, out / "theorem1.json")
         print(
@@ -308,13 +317,6 @@ def cmd_simulate(args) -> int:
         )
         return 0
 
-    if args.preset == "figure2":
-        spec = figure2_spec(**overrides)
-    elif args.preset == "appendixD":
-        spec = appendix_d_spec(**overrides)
-    else:
-        overrides.setdefault("x_axis", "j")
-        spec = StudySpec(**overrides)
     result = run_replication_study(spec, threads=_threads(args.threads))
     with _writing(out / "records.csv"):
         result.save_records_csv(out / "records.csv")

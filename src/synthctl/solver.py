@@ -9,6 +9,7 @@ whenever the quadratic upper bound it implies is violated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,24 +87,48 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.shape[0] < 1:
         raise DimensionMismatchError("projection input must be a non-empty 1-D vector")
-    if not np.isfinite(v).all():
+    return _project(v)
+
+
+def _project(v: np.ndarray) -> np.ndarray:
+    """``project_simplex`` on a non-empty 1-D float vector.
+
+    The solver calls this once or more per iteration on vectors of at most a
+    few dozen entries, where numpy's per-call cost dwarfs the arithmetic, so
+    the threshold search runs on a Python list. It performs the same
+    floating-point operations in the same order as the array form
+    ``cumsum(sort(v)[::-1]) - 1.0``: the cumulative sum adds left to right.
+    """
+    total = v.sum()
+    if not math.isfinite(total) and not np.isfinite(v).all():
         raise DimensionMismatchError("projection input must be finite")
-    if v.min() >= 0.0 and v.sum() == 1.0:
+    if total == 1.0 and v.min() >= 0.0:
         return v.copy()
-    n = v.shape[0]
-    u = np.sort(v)[::-1]
-    cssv = np.cumsum(u) - 1.0
-    ind = np.arange(1, n + 1)
-    rho = int(np.count_nonzero(u - cssv / ind > 0))
-    theta = cssv[rho - 1] / rho
-    w = np.maximum(v - theta, 0.0)
-    # absorb the residual summation error so sum(w) == 1.0 bitwise
-    for i in np.argsort(w)[::-1]:
-        excess = w.sum() - 1.0
-        if excess == 0.0:
-            break
-        if w[i] - excess >= 0.0:
-            w[i] -= excess
+    cs = 0.0
+    cssv = []
+    rho = 0
+    # every k with u_k > cssv_k / k counts, not only a leading run of them
+    for k, u_k in enumerate(sorted(v.tolist(), reverse=True), 1):
+        cs += u_k
+        c = cs - 1.0
+        cssv.append(c)
+        if u_k - c / k > 0:
+            rho += 1
+    # numpy division: rho == 0 (entries beyond about 2**53) gives +-inf or
+    # nan with a warning, as the array form did, not ZeroDivisionError
+    theta = np.float64(cssv[rho - 1]) / rho
+    w = v - theta
+    np.maximum(w, 0.0, out=w)
+    # absorb the residual summation error so sum(w) == 1.0 bitwise; w.sum()
+    # stays numpy (pairwise from 8 entries), which defines that sum
+    excess = w.sum() - 1.0
+    if excess != 0.0:
+        for i in np.argsort(w)[::-1]:
+            if w[i] - excess >= 0.0:
+                w[i] -= excess
+                excess = w.sum() - 1.0
+                if excess == 0.0:
+                    break
     return w
 
 
@@ -124,20 +149,12 @@ class _Quadratic:
     def _vdot(self, r: np.ndarray) -> np.ndarray:
         return r if self.v is None else self.v @ r
 
-    def residual(self, w: np.ndarray) -> np.ndarray:
-        return self.b - self.a @ w
-
-    def value_of_residual(self, r: np.ndarray) -> float:
+    def value(self, w: np.ndarray) -> float:
+        r = self.b - self.a @ w
         return float(r @ self._vdot(r))
 
-    def value(self, w: np.ndarray) -> float:
-        return self.value_of_residual(self.residual(w))
-
-    def gradient_of_residual(self, r: np.ndarray) -> np.ndarray:
-        return -2.0 * (self.a.T @ self._vdot(r))
-
     def gradient(self, w: np.ndarray) -> np.ndarray:
-        return self.gradient_of_residual(self.residual(w))
+        return -2.0 * (self.a.T @ self._vdot(self.b - self.a @ w))
 
     def curvature(self, d: np.ndarray) -> float:
         """d' (A'VA) d, the quadratic growth along direction d."""
@@ -189,13 +206,11 @@ def _polish(q: _Quadratic, w: np.ndarray, f_w: float, lip: float, tol: float):
     candidate[support] = sol[:k]
     if candidate.min() < -1e-9 or abs(candidate.sum() - 1.0) > 1e-6:
         return None
-    candidate = project_simplex(candidate)
+    candidate = _project(candidate)
     f_c = q.value(candidate)
     if f_c > f_w + 1e-12 * max(f_w, 1.0):
         return None
-    pg = float(
-        np.abs(candidate - project_simplex(candidate - q.gradient(candidate) / lip)).max()
-    )
+    pg = float(np.abs(candidate - _project(candidate - q.gradient(candidate) / lip)).max())
     if pg > tol:
         return None
     return candidate, f_c, pg
@@ -258,19 +273,25 @@ def solve_simplex_qp(
     since_restart = 0
     stagnant = 0
     may_polish = not non_unique  # keep the uniform-start tie-break on flat faces
+    # the loop's time goes to per-call overhead, not arithmetic, so the
+    # residual, gradient and values at y are evaluated inline on local
+    # names; A' stays a view of A, since a contiguous copy can change the
+    # BLAS summation order
+    a, a_t, b, vm = q.a, q.a.T, q.b, q.v
     for iterations in range(1, opts.max_iter + 1):
-        r_y = q.residual(y)
-        grad_y = q.gradient_of_residual(r_y)
-        step = project_simplex(y - grad_y / lip)
+        r_y = b - a @ y
+        grad_y = -2.0 * (a_t @ (r_y if vm is None else vm @ r_y))
+        step = _project(y - grad_y / lip)
         d = step - y
-        ad = q.a @ d
+        ad = a @ d
         # grow the step bound if the quadratic majorization at y is violated
-        while q.value_of_residual(ad) > 0.5 * lip * float(d @ d) * (1.0 + 1e-12):
+        while ad @ (ad if vm is None else vm @ ad) > 0.5 * lip * float(d @ d) * (1.0 + 1e-12):
             lip *= 2.0
-            step = project_simplex(y - grad_y / lip)
+            step = _project(y - grad_y / lip)
             d = step - y
-            ad = q.a @ d
-        f_step = q.value_of_residual(r_y - ad)
+            ad = a @ d
+        r_step = r_y - ad
+        f_step = float(r_step @ (r_step if vm is None else vm @ r_step))
 
         # monotone acceleration: keep the best iterate seen so far; when a
         # step fails to improve and momentum has run a while, restart it
@@ -285,15 +306,15 @@ def solve_simplex_qp(
             y, t = w_new, 1.0
             since_restart = 0
         else:
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             y = w_new + (t / t_new) * (step - w_new) + ((t - 1.0) / t_new) * (w_new - w)
             t = t_new
         w, f_w = w_new, f_new
 
         # the optimality certificate is priced at two extra products, so
         # confirm it only periodically or once the iterate stops moving
-        if float(np.abs(d).max()) <= 4.0 * opts.tol or iterations % 16 == 0:
-            pg_norm = float(np.abs(w - project_simplex(w - q.gradient(w) / lip)).max())
+        if np.abs(d).max() <= 4.0 * opts.tol or iterations % 16 == 0:
+            pg_norm = float(np.abs(w - _project(w - q.gradient(w) / lip)).max())
             if pg_norm <= opts.tol:
                 converged = True
                 break
@@ -309,7 +330,7 @@ def solve_simplex_qp(
                 break  # no objective progress at float resolution: stalled
 
     if not converged:
-        pg_norm = float(np.abs(w - project_simplex(w - q.gradient(w) / lip)).max())
+        pg_norm = float(np.abs(w - _project(w - q.gradient(w) / lip)).max())
         converged = pg_norm <= opts.tol
         if not converged and may_polish:
             polished = _polish(q, w, f_w, lip, opts.tol)

@@ -421,6 +421,18 @@ def test_simulate_theorem1_needs_a_replication(tmp_path, capsys, replications):
     assert not (tmp_path / "theorem1.json").exists()
 
 
+@pytest.mark.parametrize("preset", ["theorem1", "figure2"])
+def test_simulate_rejected_spec_creates_no_output_dir(tmp_path, capsys, preset):
+    out = tmp_path / "out"
+    code = main(
+        ["simulate", "--preset", preset, "--replications", "0",
+         "--output-dir", str(out)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: BAD_CONFIG: ")
+    assert not out.exists()
+
+
 def test_simulate_unwritable_output_dir_is_user_error(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synthctl.errors import DimensionMismatchError, SingularGramError
-from synthctl.moments import MomentSystem
+from synthctl.estimators import Method, estimate_weights
+from synthctl.moments import MomentConfig, MomentSystem
 from synthctl.panel import PanelData
+from synthctl.simlab import figure2_spec, gen_mixture_dgp
 from synthctl.solver import (
     SolverOptions,
     WeightVector,
@@ -69,6 +71,160 @@ def test_projection_beats_grid(seed):
     w = project_simplex(v)
     oracle = brute_force_projection(v)
     assert ((w - v) ** 2).sum() <= ((oracle - v) ** 2).sum() + 1e-12
+
+
+def reference_project_simplex(v):
+    """The array-form projection the solver used before its list-based
+    threshold search; the current one must match it bit for bit."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or v.shape[0] < 1:
+        raise DimensionMismatchError("projection input must be a non-empty 1-D vector")
+    if not np.isfinite(v).all():
+        raise DimensionMismatchError("projection input must be finite")
+    if v.min() >= 0.0 and v.sum() == 1.0:
+        return v.copy()
+    n = v.shape[0]
+    u = np.sort(v)[::-1]
+    cssv = np.cumsum(u) - 1.0
+    ind = np.arange(1, n + 1)
+    rho = int(np.count_nonzero(u - cssv / ind > 0))
+    theta = cssv[rho - 1] / rho
+    w = np.maximum(v - theta, 0.0)
+    # absorb the residual summation error so sum(w) == 1.0 bitwise
+    for i in np.argsort(w)[::-1]:
+        excess = w.sum() - 1.0
+        if excess == 0.0:
+            break
+        if w[i] - excess >= 0.0:
+            w[i] -= excess
+    return w
+
+
+def projection_inputs():
+    # rounding makes u_k > cssv_k / k fail at some k and hold again later;
+    # the threshold counts every k where it holds
+    yield np.array([0.20596382785127584, -0.7940361721487241, -0.7940361721487241])
+    yield np.array([0.5623976772929592, 0.3012921765535601] + [-0.06815507307674035] * 3)
+    rng = np.random.default_rng(2008)
+    for n in range(1, 61):
+        for scale in (1e-3, 1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3):
+            for _ in range(3):
+                yield rng.normal(0.0, scale, n)
+            yield rng.uniform(0.0, scale, n)
+            # ties
+            yield np.round(rng.normal(0.0, 2.0, n)) * scale
+            yield np.full(n, scale)
+        one_hot = np.zeros(n)
+        one_hot[rng.integers(n)] = 1.0
+        yield one_hot
+        yield 3.0 * one_hot - 1.0
+        # already feasible, and nearly so
+        feasible = rng.dirichlet(np.ones(n))
+        yield feasible
+        yield feasible * (1.0 + 1e-15)
+        yield np.full(n, 1.0 / n)
+
+
+def test_projection_matches_array_reference_bitwise():
+    count = 0
+    for v in projection_inputs():
+        expected = reference_project_simplex(v)
+        got = project_simplex(v)
+        assert np.array_equal(got, expected), v
+        count += 1
+    assert count == 2 + 60 * (7 * 6 + 5)
+
+
+@pytest.mark.parametrize(
+    "bad", [[np.nan, 0.5], [0.5, np.inf], [-np.inf, 2.0], [np.inf, -np.inf, 1.0]]
+)
+def test_projection_rejects_non_finite(bad):
+    with pytest.raises(DimensionMismatchError):
+        reference_project_simplex(np.array(bad))
+    with pytest.raises(DimensionMismatchError), np.errstate(invalid="ignore"):
+        project_simplex(np.array(bad))
+
+
+def test_projection_finite_entries_with_overflowing_sum():
+    # the sum is infinite although every entry is finite: not rejected
+    v = np.array([1e308, 1e308, -3.0])
+    with np.errstate(over="ignore"):
+        expected = reference_project_simplex(v)
+        np.testing.assert_array_equal(project_simplex(v), expected)
+
+
+def golden_systems():
+    spec = figure2_spec()
+    panel, _ = gen_mixture_dgp(spec.dgp_config(10, 20231))
+    base = dict(include_covariates=True, scaling="max_abs")
+    rng = np.random.default_rng(77)
+    m = rng.normal(size=(8, 8))
+    full_v = m @ m.T / 8 + 0.1 * np.eye(8)
+    cases = {
+        "g2": (Method.DMSCM, MomentConfig(g=2, **base)),
+        "g5": (Method.DMSCM, MomentConfig(g=5, **base)),
+        "g10": (Method.DMSCM, MomentConfig(g=10, **base)),
+        "abadie": (Method.ABADIE, MomentConfig(g=1)),
+        "diag_v": (
+            Method.DMSCM,
+            MomentConfig(g=5, weighting=np.linspace(0.5, 3.0, 10), **base),
+        ),
+        "full_v": (Method.DMSCM, MomentConfig(g=3, weighting=full_v, **base)),
+    }
+    return panel, cases
+
+
+# (weights as float.hex, iterations, converged, non_unique), recorded with
+# numpy's bundled OpenBLAS on x86-64 before the solver loop was inlined
+GOLDEN_SOLVES = {
+    "g2": (
+        ["0x1.0fbb9e9f25adap-3", "0x0.0p+0", "0x1.f2b3d950b115ap-2", "0x0.0p+0",
+         "0x0.0p+0", "0x1.024534dcab670p-2", "0x0.0p+0", "0x1.918691c3433c2p-9",
+         "0x1.000c2abf144c2p-3", "0x0.0p+0"],
+        235, True, True,
+    ),
+    "g5": (
+        ["0x1.1d4b01a9e0401p-3", "0x1.ccccccccccccdp-54", "0x1.e9aa54c6dd0cbp-2",
+         "0x1.ccccccccccccdp-54", "0x1.ccccccccccccdp-54", "0x1.052d72d2acf1ap-2",
+         "0x1.ccccccccccccdp-54", "0x1.d702f45fd295ep-8", "0x1.ec9aaf001a5b6p-4",
+         "0x1.ccccccccccccdp-54"],
+        176, True, False,
+    ),
+    "g10": (
+        ["0x1.2075bf4d403c3p-3", "0x0.0p+0", "0x1.e918240432dafp-2", "0x0.0p+0",
+         "0x0.0p+0", "0x1.05653b33f2b99p-2", "0x1.1e32149a47843p-9",
+         "0x1.9cd6bf4da8665p-8", "0x1.e26007eb3c731p-4", "0x0.0p+0"],
+        160, True, False,
+    ),
+    "abadie": (
+        ["0x1.5487b5903ca73p-2", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+         "0x0.0p+0", "0x1.156b13a6c6a74p-6", "0x1.bed38f95e43cdp-2", "0x0.0p+0",
+         "0x1.b69c133ee5633p-3"],
+        176, True, False,
+    ),
+    "diag_v": (
+        ["0x1.fecf46b934bafp-4", "0x0.0p+0", "0x1.f9cf23900ad50p-2", "0x0.0p+0",
+         "0x0.0p+0", "0x1.05cd1e89bd53dp-2", "0x0.0p+0", "0x0.0p+0",
+         "0x1.f8bf5441aa76bp-4", "0x1.400b93c005758p-9"],
+        128, True, False,
+    ),
+    "full_v": (
+        ["0x1.e906b57a81c76p-4", "0x0.0p+0", "0x1.0663471cf557cp-1", "0x0.0p+0",
+         "0x0.0p+0", "0x1.0f37aa7e2e800p-2", "0x1.ee936291866e4p-8",
+         "0x1.b67527ce572fdp-7", "0x1.51488c82362d7p-4", "0x0.0p+0"],
+        328, True, True,
+    ),
+}
+
+
+def test_golden_solves_bitwise():
+    panel, cases = golden_systems()
+    assert set(cases) == set(GOLDEN_SOLVES)
+    for name, (method, cfg) in cases.items():
+        wv, diag = estimate_weights(panel, method, cfg)
+        got = ([float(x).hex() for x in wv.weights], diag.iterations,
+               diag.converged, diag.non_unique)
+        assert got == GOLDEN_SOLVES[name], name
 
 
 def test_solve_population_gaussian_moments():
