@@ -3,9 +3,9 @@
 Exit codes: 0 on success, 1 on user or input errors (usage mistakes and
 unwritable output paths included), 2 on internal errors. Failures print one
 machine-parseable line to stderr: ``error: CODE: message``.
-Every command that takes --seed is bit-reproducible, and worker-thread counts
-never change results (seeds derive from task indices, outputs keep task
-order).
+Every command that takes --seed is bit-reproducible. ``--threads`` and
+``SYNTHCTL_THREADS`` are validated but start no thread: work runs serially
+and the output never depends on them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .dte import bootstrap_counterfactual, mmd_test, quantiles, save_draws
 from .errors import SynthctlError
 from .estimators import Method, fit_method
 from .moments import MomentConfig
-from .panel import PanelData, PanelSchema, load_panel
+from .panel import SCHEMA_VERSION, PanelData, PanelSchema, load_panel
 from .seeding import threads_from_env
 from .simlab import (
     StudySpec,
@@ -46,11 +46,12 @@ _FIT_METHODS = {
 }
 
 
-class _CliError(Exception):
+class _CliError(SynthctlError):
+    """A user error found by the CLI itself, with the code it reports."""
+
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
-        self.message = message
 
 
 class _Parser(argparse.ArgumentParser):
@@ -205,7 +206,7 @@ def cmd_dte(args) -> int:
     probs = [float(p) for p in args.probs.split(",") if p.strip()]
     qs = quantiles(sample, probs)
     payload = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "l": sample.l,
         "seed": sample.seed,
         "probs": probs,
@@ -290,7 +291,8 @@ def cmd_simulate(args) -> int:
         out_dir = args.output_dir
     if out_dir is None:
         raise _CliError("BAD_OUTPUT", "--output-dir (or config output_dir) is required")
-    # build (and so validate) the spec first: a rejected spec leaves no directory
+    # validate the thread count and the spec first: a rejected one leaves no directory
+    threads = _threads(args.threads)
     if args.preset == "theorem1":
         spec = Theorem1Spec(
             seed=overrides.get("base_seed", 0),
@@ -317,7 +319,7 @@ def cmd_simulate(args) -> int:
         )
         return 0
 
-    result = run_replication_study(spec, threads=_threads(args.threads))
+    result = run_replication_study(spec, threads=threads)
     with _writing(out / "records.csv"):
         result.save_records_csv(out / "records.csv")
     _write_json(result.aggregates_json_dict(), out / "aggregates.json")
@@ -350,7 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_conf.add_argument("--grid-min", type=float)
     p_conf.add_argument("--grid-max", type=float)
     p_conf.add_argument("--grid-points", type=int, default=41)
-    p_conf.add_argument("--threads", type=int)
+    p_conf.add_argument(
+        "--threads", type=int, help="validated only: work runs serially, output never changes"
+    )
     p_conf.add_argument("--output", help="write the report JSON here")
     p_conf.add_argument("--csv", help="write the (alpha, p) curve CSV here")
     p_conf.set_defaults(func=cmd_conformal)
@@ -380,7 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--j", help="comma-separated untreated-unit counts")
     p_sim.add_argument("--g", help="comma-separated moment-order counts")
     p_sim.add_argument("--mmd", action="store_true", help="record MMD to the truth")
-    p_sim.add_argument("--threads", type=int)
+    p_sim.add_argument(
+        "--threads", type=int, help="validated only: work runs serially, output never changes"
+    )
     p_sim.add_argument("--output-dir")
     p_sim.set_defaults(func=cmd_simulate)
     return parser
@@ -391,9 +397,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc.code}: {exc.message}", file=sys.stderr)
-        return 1
     except SynthctlError as exc:
         print(f"error: {exc.code}: {exc.message}", file=sys.stderr)
         return 1

@@ -12,7 +12,6 @@ intervals invert the test over a grid of constant nulls.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import BadConfigError, DimensionMismatchError
 from .estimators import Method, estimate_weights, fit_method
 from .moments import MomentConfig
-from .panel import PanelData
+from .panel import SCHEMA_VERSION, PanelData, open_csv
 from .seeding import threads_from_env
 from .solver import SolverOptions
 
@@ -33,8 +32,6 @@ __all__ = [
     "default_grid",
     "save_p_curve",
 ]
-
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -173,8 +170,9 @@ def confidence_interval(
     The interval is the smallest closed interval containing every grid point
     with p-value above ``level``. ``open_lower``/``open_upper`` flag an
     acceptance region touching the grid edge, where the user must widen the
-    grid. Grid points are independent and may be evaluated concurrently;
-    the report order always follows the grid.
+    grid. Grid points are evaluated one after another in grid order.
+    ``threads`` (default: ``SYNTHCTL_THREADS``) is validated but starts no
+    thread and never changes the report.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -184,16 +182,11 @@ def confidence_interval(
     if not (0.0 < level < 1.0):
         raise BadConfigError(f"level must lie in (0, 1), got {level}")
 
-    def one(alpha: float) -> float:
-        return conformal_p_value(panel, NullSpec(alpha), estimator, cfg, opts)
-
     if threads is None:
-        threads = threads_from_env()
-    if threads > 1 and grid.size > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            p_values = list(pool.map(one, grid))
-    else:
-        p_values = [one(alpha) for alpha in grid]
+        threads_from_env()  # validated only: a bad value is a user error
+    p_values = [
+        conformal_p_value(panel, NullSpec(alpha), estimator, cfg, opts) for alpha in grid
+    ]
 
     accepted = [float(alpha) for alpha, p in zip(grid, p_values) if p > level]
     if accepted:
@@ -217,11 +210,8 @@ def confidence_interval(
 
 def save_p_curve(report: ConformalReport, target) -> None:
     """Write the (alpha, p) curve as a two-column CSV for plotting."""
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            save_p_curve(report, fh)
-        return
-    writer = csv.writer(target)
-    writer.writerow(["alpha", "p"])
-    for alpha, p in zip(report.grid, report.p_values):
-        writer.writerow([repr(alpha), repr(p)])
+    with open_csv(target, "w") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["alpha", "p"])
+        for alpha, p in zip(report.grid, report.p_values):
+            writer.writerow([repr(alpha), repr(p)])

@@ -3,7 +3,7 @@
 The bootstrap targets the pooled post-period counterfactual density: each
 draw resamples one post-period value from every untreated unit, then keeps
 the value of a unit selected with the fitted weights. All randomness flows
-through an explicit 64-bit seed; there is no global RNG state. Parallel
+through an explicit 64-bit seed; there is no global RNG state. Independent
 replications must derive distinct child seeds (see ``synthctl.seeding``).
 
 The MMD permutation test runs in O(n * (block + P)) memory for n pooled
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadProbError, DimensionMismatchError, EmptyPostError
-from .panel import PanelData
+from .panel import SCHEMA_VERSION, PanelData, open_csv
 from .solver import WeightVector
 
 __all__ = [
@@ -36,8 +36,6 @@ __all__ = [
     "mmd_test",
     "save_draws",
 ]
-
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -123,14 +121,11 @@ def quantiles(sample: BootstrapSample, probs) -> list[float]:
 
 def save_draws(sample: BootstrapSample, target) -> None:
     """Write the bootstrap draws as a one-column CSV."""
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            save_draws(sample, fh)
-        return
-    writer = csv.writer(target)
-    writer.writerow(["draw"])
-    for value in sample.draws:
-        writer.writerow([repr(float(value))])
+    with open_csv(target, "w") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["draw"])
+        for value in sample.draws:
+            writer.writerow([repr(float(value))])
 
 
 # One kernel strip holds at most this many float64 values (8 MiB), so the

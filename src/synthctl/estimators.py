@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import SingularMatrixError
 from .moments import MomentConfig, MomentSystem, build_demeaned_system, build_system
-from .panel import PanelData
+from .panel import SCHEMA_VERSION, PanelData, demean_rows
 from .solver import (
     SolveDiagnostics,
     SolverOptions,
@@ -39,8 +39,6 @@ __all__ = [
     "fit_method",
     "ls_bias_limit",
 ]
-
-SCHEMA_VERSION = 1
 
 
 class Method(str, enum.Enum):
@@ -94,7 +92,7 @@ class FitResult:
 def _ls_rows(outcomes: np.ndarray, window: int, demeaned: bool) -> _LinearSystem:
     series = outcomes
     if demeaned:
-        series = outcomes - outcomes[:, :window].mean(axis=1, keepdims=True)
+        _, series = demean_rows(outcomes, window)
     # scale rows by 1/sqrt(window) so the objective is the mean squared error
     rows = series[:, :window] / math.sqrt(window)
     return _LinearSystem(a_matrix=rows[1:].T, b_vector=rows[0])
@@ -128,7 +126,7 @@ def estimate_weights(
         raise ValueError(f"no simplex weights for method {method}")
 
     if method in (Method.D2MSCM, Method.FP_DEMEANED):
-        means = panel.outcomes[:, :window].mean(axis=1)
+        means, _ = demean_rows(panel.outcomes, window)
         intercept = float(means[0] - wv.weights @ means[1:])
         wv = WeightVector(wv.weights, intercept=intercept)
     return wv, diag

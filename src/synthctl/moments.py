@@ -33,7 +33,7 @@ from .errors import (
     DimensionMismatchError,
     MomentOverflowError,
 )
-from .panel import PanelData
+from .panel import PanelData, demean_rows
 
 __all__ = [
     "MomentConfig",
@@ -173,7 +173,7 @@ def _assemble(
 ) -> MomentSystem:
     series = outcomes
     if demeaned:
-        series = outcomes - outcomes[:, :window].mean(axis=1, keepdims=True)
+        _, series = demean_rows(outcomes, window)
     pre = series[:, :window]
     scale = _scale_for(pre, cfg.scaling)
     scaled = pre / scale

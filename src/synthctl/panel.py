@@ -7,6 +7,7 @@ treated unit always at row 0. The CSV interface is long format
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -30,6 +31,25 @@ __all__ = [
     "save_panel",
     "demean",
 ]
+
+# Version of every JSON document the package writes; each schema under
+# ``schemas/`` pins it as a constant.
+SCHEMA_VERSION = 1
+
+
+@contextlib.contextmanager
+def open_csv(target, mode: str):
+    """Yield a text stream for CSV I/O on ``target``.
+
+    A path (``str``, ``bytes`` or path-like) is opened in ``mode`` as UTF-8
+    with ``newline=""``, as the csv module needs, and closed on exit; any
+    other target is taken to be an open stream and yielded as it is.
+    """
+    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+        with open(target, mode, encoding="utf-8", newline="") as fh:
+            yield fh
+    else:
+        yield target
 
 
 @dataclass(frozen=True)
@@ -189,14 +209,20 @@ class DemeanedPanel:
             )
 
 
+def demean_rows(outcomes: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's mean over the first ``window`` columns, and the rows minus it.
+
+    The one demeaning routine: ``demean``, the demeaned moment and
+    least-squares systems and the fitted intercepts all take their means here.
+    """
+    means = outcomes[:, :window].mean(axis=1)
+    return means, outcomes - means[:, None]
+
+
 def demean(panel: PanelData) -> DemeanedPanel:
     """Subtract each unit's pre-period mean from its full outcome series."""
-    means = panel.outcomes[:, : panel.t0].mean(axis=1)
-    return DemeanedPanel(
-        base=panel,
-        unit_means=means,
-        demeaned_outcomes=panel.outcomes - means[:, None],
-    )
+    means, demeaned = demean_rows(panel.outcomes, panel.t0)
+    return DemeanedPanel(base=panel, unit_means=means, demeaned_outcomes=demeaned)
 
 
 def _parse_period(raw, schema: PanelSchema, row: int):
@@ -210,21 +236,8 @@ def _parse_period(raw, schema: PanelSchema, row: int):
     return raw
 
 
-def load_panel(source, schema: PanelSchema, treated: str, t0: int) -> PanelData:
-    """Load a long-format CSV into a PanelData.
-
-    ``source`` is a path, a text stream, or a byte stream of UTF-8 CSV with a
-    header row. Every (unit, period) pair must appear exactly once; the
-    treated unit is moved to row 0 and the remaining units keep sorted order.
-    """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return load_panel(fh, schema, treated, t0)
-    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or (
-        hasattr(source, "read") and isinstance(source.read(0), bytes)
-    ):
-        source = io.TextIOWrapper(source, encoding="utf-8", newline="")
-
+def _read_cells(source, schema: PanelSchema) -> tuple[dict, dict]:
+    """Outcome and covariate values keyed by (unit, period), one per data row."""
     reader = csv.DictReader(source)
     if reader.fieldnames is None:
         raise PanelParseError("empty CSV: missing header row")
@@ -257,6 +270,22 @@ def load_panel(source, schema: PanelSchema, treated: str, t0: int) -> PanelData:
                 covs[key] = tuple(float(row[c]) for c in schema.covariates)
             except (TypeError, ValueError):
                 raise PanelParseError("covariate value is not a number", row=row_no)
+    return cells, covs
+
+
+def load_panel(source, schema: PanelSchema, treated: str, t0: int) -> PanelData:
+    """Load a long-format CSV into a PanelData.
+
+    ``source`` is a path, a text stream, or a byte stream of UTF-8 CSV with a
+    header row. Every (unit, period) pair must appear exactly once; the
+    treated unit is moved to row 0 and the remaining units keep sorted order.
+    """
+    with open_csv(source, "r") as fh:
+        if isinstance(fh, (io.RawIOBase, io.BufferedIOBase)) or (
+            hasattr(fh, "read") and isinstance(fh.read(0), bytes)
+        ):
+            fh = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+        cells, covs = _read_cells(fh, schema)
 
     if not cells:
         raise PanelParseError("CSV contains no data rows")
@@ -302,15 +331,12 @@ def save_panel(panel: PanelData, target, schema: PanelSchema | None = None) -> N
             f"schema declares {len(schema.covariates)} covariates, "
             f"panel has {panel.n_covariates}"
         )
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            save_panel(panel, fh, schema)
-        return
-    writer = csv.writer(target)
-    writer.writerow([schema.unit, schema.period, schema.outcome, *schema.covariates])
-    for i, unit in enumerate(panel.units):
-        for j, period in enumerate(panel.period_labels):
-            row = [unit, period, repr(float(panel.outcomes[i, j]))]
-            if panel.covariates is not None:
-                row.extend(repr(float(v)) for v in panel.covariates[i, j])
-            writer.writerow(row)
+    with open_csv(target, "w") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([schema.unit, schema.period, schema.outcome, *schema.covariates])
+        for i, unit in enumerate(panel.units):
+            for j, period in enumerate(panel.period_labels):
+                row = [unit, period, repr(float(panel.outcomes[i, j]))]
+                if panel.covariates is not None:
+                    row.extend(repr(float(v)) for v in panel.covariates[i, j])
+                writer.writerow(row)

@@ -1,10 +1,10 @@
-"""Deterministic seed derivation for parallel work.
+"""Deterministic seed derivation for replicated work.
 
 Child seeds are derived from a base seed and a tuple of indices with a
-splitmix64 mix, so replications can run on any number of workers and still
-produce schedule-independent results: stream i is a pure function of
-``(base_seed, *indices)``, never of execution order. The default worker
-count comes from the ``SYNTHCTL_THREADS`` environment variable.
+splitmix64 mix, so stream i is a pure function of ``(base_seed, *indices)``,
+never of execution order. ``threads_from_env`` validates the
+``SYNTHCTL_THREADS`` environment variable, which starts no thread and never
+changes an output.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def derive_seed(base_seed: int, *indices: int) -> int:
 
 
 def threads_from_env() -> int:
-    """Worker count from ``SYNTHCTL_THREADS``: 1 when unset, at least 1.
+    """Thread count from ``SYNTHCTL_THREADS``: 1 when unset, at least 1.
 
     A value that is not an integer is a user error (``BAD_THREADS``).
     """

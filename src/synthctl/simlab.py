@@ -7,15 +7,14 @@ the treated unit from the weight-mixture of the untreated densities, with a
 constant effect added after the intervention. Replication studies sweep the
 number of untreated units and the number of moment orders, record per-fit
 error metrics, and aggregate medians and quartiles. Every replication derives
-its own RNG stream from (base seed, cell index, replication index), so
-results do not depend on worker scheduling.
+its own RNG stream from (base seed, cell index, replication index), so its
+results do not depend on which replications ran before it.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,7 +29,7 @@ from .estimators import (
     ls_bias_limit,
 )
 from .moments import MomentConfig
-from .panel import PanelData
+from .panel import SCHEMA_VERSION, PanelData, open_csv
 from .seeding import derive_seed
 from .solver import ls_unconstrained
 
@@ -49,8 +48,6 @@ __all__ = [
     "figure2_spec",
     "appendix_d_spec",
 ]
-
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -293,60 +290,54 @@ class ReplicationResult:
     def save_records_csv(self, target) -> None:
         """Write the raw records; excludes wall-clock runtimes so the file is
         bit-reproducible for a fixed base seed."""
-        if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-            with open(target, "w", encoding="utf-8", newline="") as fh:
-                self.save_records_csv(fh)
-            return
-        writer = csv.writer(target)
-        writer.writerow(
-            [
-                "j",
-                "g",
-                "method",
-                "replication",
-                "seed",
-                "att_error",
-                "mean_att_error",
-                "weight_error",
-                "mmd_to_truth",
-                "error",
-            ]
-        )
-        for r in self.records:
+        with open_csv(target, "w") as fh:
+            writer = csv.writer(fh)
             writer.writerow(
                 [
-                    r.j,
-                    r.g,
-                    r.method.value,
-                    r.replication,
-                    r.seed,
-                    "" if r.att_error is None else repr(r.att_error),
-                    "" if r.mean_att_error is None else repr(r.mean_att_error),
-                    "" if r.weight_error is None else repr(r.weight_error),
-                    "" if r.mmd_to_truth is None else repr(r.mmd_to_truth),
-                    r.error or "",
+                    "j",
+                    "g",
+                    "method",
+                    "replication",
+                    "seed",
+                    "att_error",
+                    "mean_att_error",
+                    "weight_error",
+                    "mmd_to_truth",
+                    "error",
                 ]
             )
+            for r in self.records:
+                writer.writerow(
+                    [
+                        r.j,
+                        r.g,
+                        r.method.value,
+                        r.replication,
+                        r.seed,
+                        "" if r.att_error is None else repr(r.att_error),
+                        "" if r.mean_att_error is None else repr(r.mean_att_error),
+                        "" if r.weight_error is None else repr(r.weight_error),
+                        "" if r.mmd_to_truth is None else repr(r.mmd_to_truth),
+                        r.error or "",
+                    ]
+                )
 
     def save_figure_csv(self, target) -> None:
         """Per-figure curve data: x, method, median, q25, q75 of the ATT error."""
-        if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-            with open(target, "w", encoding="utf-8", newline="") as fh:
-                self.save_figure_csv(fh)
-            return
-        writer = csv.writer(target)
-        writer.writerow(["x", "method", "median", "q25", "q75"])
-        for a in self.aggregates:
-            x = a.g if self.spec.x_axis == "g" else a.j
-            writer.writerow(
-                [
-                    x,
-                    a.method.value,
-                    repr(a.mean_att_error_median),
-                    repr(a.mean_att_error_q25),
-                    repr(a.mean_att_error_q75),
-                ]
-            )
+        with open_csv(target, "w") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "method", "median", "q25", "q75"])
+            for a in self.aggregates:
+                x = a.g if self.spec.x_axis == "g" else a.j
+                writer.writerow(
+                    [
+                        x,
+                        a.method.value,
+                        repr(a.mean_att_error_median),
+                        repr(a.mean_att_error_q25),
+                        repr(a.mean_att_error_q75),
+                    ]
+                )
 
 
 def _fit_record(
@@ -441,23 +432,16 @@ def _run_replication(
 def run_replication_study(spec: StudySpec, threads: int = 1) -> ReplicationResult:
     """Run the full replication grid and aggregate the error records.
 
+    Replications run one after another. ``threads`` is accepted for
+    compatibility; it starts no thread and never changes the result.
     Individual replication failures are recorded, not fatal; the study raises
     only when more than 10% of its records carry an error.
     """
-    tasks = [
-        (j_index, j, r)
+    chunks = [
+        _run_replication(spec, j_index, j, r)
         for j_index, j in enumerate(spec.j_values)
         for r in range(spec.replications)
     ]
-
-    def run(task):
-        return _run_replication(spec, *task)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run, tasks))
-    else:
-        chunks = [run(t) for t in tasks]
     records = tuple(rec for chunk in chunks for rec in chunk)
 
     failed = sum(1 for r in records if r.error is not None)

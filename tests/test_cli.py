@@ -366,6 +366,16 @@ def test_simulate_bad_threads_env(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: BAD_THREADS: ")
 
 
+def test_simulate_bad_threads_env_leaves_no_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SYNTHCTL_THREADS", "abc")
+    out_dir = tmp_path / "X"
+    code = main(["simulate", "--preset", "figure2", "--replications", "1",
+                 "--output-dir", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: BAD_THREADS: ")
+    assert not out_dir.exists()
+
+
 def test_simulate_config_file_with_flag_override(tmp_path):
     config = tmp_path / "study.ini"
     config.write_text(

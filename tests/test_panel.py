@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synthctl.conformal import confidence_interval, save_p_curve
+from synthctl.dte import bootstrap_counterfactual, save_draws
 from synthctl.errors import (
     BadT0Error,
     MissingCellError,
@@ -12,12 +14,20 @@ from synthctl.errors import (
     PanelParseError,
     UnknownTreatedError,
 )
+from synthctl.estimators import Method, fit_method
+from synthctl.moments import MomentConfig
 from synthctl.panel import (
     PanelData,
     PanelSchema,
     demean,
     load_panel,
     save_panel,
+)
+from synthctl.simlab import (
+    MixtureDgpConfig,
+    StudySpec,
+    gen_mixture_dgp,
+    run_replication_study,
 )
 
 from conftest import csv_stream
@@ -186,3 +196,40 @@ def test_string_periods_sort_lexicographically():
     schema = PanelSchema(period_type="str")
     panel = load_panel(csv_stream(text), schema, treated="A", t0=2)
     assert panel.period_labels == ("q1", "q2", "q3")
+
+
+@pytest.fixture(scope="module")
+def csv_writers():
+    """Each CSV writer of the package, bound to a small output of its own kind."""
+    panel, _ = gen_mixture_dgp(MixtureDgpConfig(j=3, t0=8, t1=4, k=2, seed=3))
+    cfg = MomentConfig(g=2)
+    fit = fit_method(panel, Method.DMSCM, cfg)
+    sample = bootstrap_counterfactual(panel, fit.weights, 25, seed=1)
+    report = confidence_interval(panel, [-1.0, 0.0, 1.0], 0.1, Method.DMSCM, cfg)
+    study = run_replication_study(
+        StudySpec(j_values=(2,), g_values=(2,), replications=2, t0=10, t1=5, k=0)
+    )
+    return {
+        "save_panel": lambda target: save_panel(panel, target),
+        "save_draws": lambda target: save_draws(sample, target),
+        "save_p_curve": lambda target: save_p_curve(report, target),
+        "save_records_csv": study.save_records_csv,
+        "save_figure_csv": study.save_figure_csv,
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["save_panel", "save_draws", "save_p_curve", "save_records_csv", "save_figure_csv"],
+)
+def test_writer_path_and_stream_give_same_bytes(csv_writers, name, tmp_path):
+    write = csv_writers[name]
+    buf = io.StringIO()
+    write(buf)
+    assert not buf.closed
+    write(tmp_path / "as_path.csv")
+    write(str(tmp_path / "as_str.csv"))
+    expected = buf.getvalue().encode("utf-8")
+    assert expected.count(b"\r\n") > 1  # csv row endings kept, not translated
+    assert (tmp_path / "as_path.csv").read_bytes() == expected
+    assert (tmp_path / "as_str.csv").read_bytes() == expected
