@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import functools
 import json
 import sys
 from pathlib import Path
@@ -392,10 +393,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser, built on first use; parsing never changes it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SynthctlError as exc:
         print(f"error: {exc.code}: {exc.message}", file=sys.stderr)

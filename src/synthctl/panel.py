@@ -284,8 +284,14 @@ def load_panel(source, schema: PanelSchema, treated: str, t0: int) -> PanelData:
         if isinstance(fh, (io.RawIOBase, io.BufferedIOBase)) or (
             hasattr(fh, "read") and isinstance(fh.read(0), bytes)
         ):
-            fh = io.TextIOWrapper(fh, encoding="utf-8", newline="")
-        cells, covs = _read_cells(fh, schema)
+            text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+            try:
+                cells, covs = _read_cells(text, schema)
+            finally:
+                # the caller owns the byte stream; a collected wrapper would close it
+                text.detach()
+        else:
+            cells, covs = _read_cells(fh, schema)
 
     if not cells:
         raise PanelParseError("CSV contains no data rows")

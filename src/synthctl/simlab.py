@@ -501,6 +501,9 @@ class Theorem1Spec:
     bias requires. Mean draws are standardized gammas with unit-specific
     shape, so units with identical variances still differ in higher moments
     and stay separable by moment matching.
+
+    Entries of ``w_star``, ``q_diag`` and ``sigma_diag`` must be finite and
+    nonnegative; ``w_star`` needs a positive sum and is used normalized.
     """
 
     w_star: tuple[float, ...] = (0.5, 0.5)
@@ -516,6 +519,16 @@ class Theorem1Spec:
             len(self.w_star) == len(self.q_diag) == len(self.sigma_diag)
         ):
             raise BadConfigError("w_star, q_diag, sigma_diag must share a length")
+        for name in ("w_star", "q_diag", "sigma_diag"):
+            values = np.asarray(getattr(self, name), dtype=float)
+            if not (np.isfinite(values).all() and (values >= 0).all()):
+                raise BadConfigError(f"{name} entries must be finite and >= 0")
+        with np.errstate(over="ignore"):
+            w_total = np.sum(self.w_star, dtype=float)
+        if not 0 < w_total < np.inf:
+            raise BadConfigError("w_star must have a positive, finite sum")
+        if self.g < 1:
+            raise BadConfigError(f"g must be >= 1, got {self.g}")
         if self.t0_large < 2:
             raise BadConfigError("t0_large must be at least 2")
         if self.replications < 1:
@@ -534,21 +547,32 @@ def _theorem1_panel(spec: Theorem1Spec, seed: int) -> PanelData:
     # the mixture components apart
     shapes = np.arange(1.0, j + 1.0)
     signs = np.where(np.arange(j) % 2 == 0, 1.0, -1.0)
-    gam = rng.gamma(shape=shapes[:, None], scale=1.0, size=(j, t))
-    mu = (
-        signs[:, None]
-        * (gam - shapes[:, None])
-        / np.sqrt(shapes)[:, None]
-        * np.sqrt(q)[:, None]
-    )
-    noise = np.sqrt(s)[:, None] * rng.standard_normal((j, t))
-    untreated = mu + noise
+    # Everything below is computed in place, yet bit for bit equal to
+    # mu = signs * (gamma - shapes) / sqrt(shapes) * sqrt(q), untreated =
+    # mu + sqrt(s) * noise and treated = mu[comp] + sqrt(s[comp]) * z. The
+    # per-unit gamma rows consume the stream exactly as one broadcast
+    # (j, t) draw does, the four operations on mu keep their order, and each
+    # reordered step is a single commuted multiply or add.
+    mu = np.empty((j, t))
+    for unit in range(j):
+        rng.standard_gamma(shapes[unit], out=mu[unit])
+    mu -= shapes[:, None]
+    mu *= signs[:, None]
+    mu /= np.sqrt(shapes)[:, None]
+    mu *= np.sqrt(q)[:, None]
+    outcomes = np.empty((j + 1, t))
+    untreated = outcomes[1:]
+    rng.standard_normal(out=untreated)
+    untreated *= np.sqrt(s)[:, None]
+    untreated += mu
+    # unit c is picked when u lands in [cum[c-1], cum[c]): the spec's finite,
+    # nonnegative weights keep cum nondecreasing, so counting the thresholds
+    # cum[:-1] at or below u in [0, 1) finds c, and never exceeds j - 1
     cum = np.cumsum(w / w.sum())
-    cum[-1] = 1.0
-    comp = np.searchsorted(cum, rng.random(t), side="right")
-    comp = np.minimum(comp, j - 1)
-    treated = mu[comp, np.arange(t)] + np.sqrt(s[comp]) * rng.standard_normal(t)
-    outcomes = np.vstack([treated[None, :], untreated])
+    comp = (cum[:-1, None] <= rng.random(t)).sum(axis=0)
+    treated = rng.standard_normal(out=outcomes[0])
+    treated *= np.sqrt(s)[comp]
+    treated += mu[comp, np.arange(t)]
     units = ["treated"] + [f"u{i + 1}" for i in range(j)]
     return PanelData(units=tuple(units), outcomes=outcomes, t0=spec.t0_large)
 

@@ -6,7 +6,7 @@ import pytest
 
 import jsonschema
 
-from synthctl.cli import main
+from synthctl.cli import build_parser, main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SCHEMAS = Path(__file__).resolve().parent.parent / "src" / "synthctl" / "schemas"
@@ -108,6 +108,26 @@ def test_help_exits_0(argv, capsys):
         main(argv)
     assert exc.value.code == 0
     assert "usage: synthctl" in capsys.readouterr().out
+
+
+def test_repeated_main_calls_see_only_their_own_argv(tmp_path, capsys):
+    # main reuses one parser per process; no call may leak into the next
+    def fit(name, extra=()):
+        args = fit_args(tmp_path, extra)
+        args[args.index("--output") + 1] = str(tmp_path / name)
+        assert main(args) == 0
+        return (tmp_path / name).read_bytes(), capsys.readouterr().out
+
+    first = fit("first.json")
+    assert fit("other.json", ["--g", "2", "--scaling", "none"]) != first
+    assert main(["fit", "--input", "x.csv", "--treated", "t", "--t0", "abc"]) == 1
+    assert capsys.readouterr().err.strip().splitlines()[-1].startswith("error: USAGE: ")
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--help"])
+    assert exc.value.code == 0
+    assert "usage: synthctl fit" in capsys.readouterr().out
+    assert fit("again.json") == first
+    assert build_parser() is not build_parser()
 
 
 def test_fit_propagates_panel_errors(capsys):

@@ -1,3 +1,4 @@
+import gc
 import io
 
 import numpy as np
@@ -112,6 +113,19 @@ def test_byte_stream_input():
         io.BytesIO(SIMPLE_CSV.encode()), PanelSchema(), treated="A", t0=2
     )
     assert panel.units[0] == "A"
+
+
+def test_byte_stream_left_open():
+    # the caller owns a byte stream it passes in, on success and on error
+    stream = io.BytesIO(SIMPLE_CSV.encode())
+    load_panel(stream, PanelSchema(), treated="A", t0=2)
+    gc.collect()
+    assert not stream.closed
+    broken = io.BytesIO((SIMPLE_CSV + "A,4,9.9\n").encode())
+    with pytest.raises(PanelParseError):
+        load_panel(broken, PanelSchema(), treated="A", t0=2)
+    gc.collect()
+    assert not broken.closed
 
 
 def test_covariates_loaded_in_declared_order():

@@ -14,6 +14,7 @@ from synthctl.simlab import (
     MixtureDgpConfig,
     StudySpec,
     Theorem1Spec,
+    _theorem1_panel,
     appendix_d_spec,
     figure2_spec,
     gen_mixture_dgp,
@@ -271,6 +272,108 @@ def test_theorem1_halving_noise_shrinks_bias():
 def test_theorem1_needs_a_replication(replications):
     with pytest.raises(BadConfigError, match="at least one replication"):
         Theorem1Spec(replications=replications)
+
+
+def reference_theorem1_outcomes(spec: Theorem1Spec, seed: int) -> np.ndarray:
+    """The broadcast-draw theorem1 generator, kept verbatim as the reference."""
+    rng = np.random.default_rng(seed)
+    j = len(spec.w_star)
+    t = spec.t0_large + 1  # one throwaway post period
+    w = np.asarray(spec.w_star)
+    q = np.asarray(spec.q_diag)
+    s = np.asarray(spec.sigma_diag)
+    # unit j's mean distribution: a centered gamma with unit-specific shape
+    # and alternating skew sign, scaled to variance q_j; distinct shapes keep
+    # the mixture components apart
+    shapes = np.arange(1.0, j + 1.0)
+    signs = np.where(np.arange(j) % 2 == 0, 1.0, -1.0)
+    gam = rng.gamma(shape=shapes[:, None], scale=1.0, size=(j, t))
+    mu = (
+        signs[:, None]
+        * (gam - shapes[:, None])
+        / np.sqrt(shapes)[:, None]
+        * np.sqrt(q)[:, None]
+    )
+    noise = np.sqrt(s)[:, None] * rng.standard_normal((j, t))
+    untreated = mu + noise
+    cum = np.cumsum(w / w.sum())
+    cum[-1] = 1.0
+    comp = np.searchsorted(cum, rng.random(t), side="right")
+    comp = np.minimum(comp, j - 1)
+    treated = mu[comp, np.arange(t)] + np.sqrt(s[comp]) * rng.standard_normal(t)
+    return np.vstack([treated[None, :], untreated])
+
+
+def theorem1_reference_specs():
+    rng = np.random.default_rng(2024)
+    for j in (1, 2, 3, 5):
+        for t0_large in (50, 100_000):
+            yield Theorem1Spec(
+                w_star=(1.0 / j,) * j,
+                q_diag=(1.0,) * j,
+                sigma_diag=(1.0,) * j,
+                t0_large=t0_large,
+            )
+            # unequal weights (one of them zero), variances and noise scales
+            w = rng.uniform(size=j)
+            if j > 1:
+                w[-1] = 0.0
+            yield Theorem1Spec(
+                w_star=tuple(w),
+                q_diag=tuple(rng.uniform(0.1, 4.0, size=j)),
+                sigma_diag=tuple(rng.uniform(0.1, 2.0, size=j)),
+                t0_large=t0_large,
+            )
+            # no noise: every zero's sign must match too
+            yield Theorem1Spec(
+                w_star=tuple(rng.uniform(size=j)),
+                q_diag=tuple(rng.uniform(0.1, 4.0, size=j)),
+                sigma_diag=(0.0,) * j,
+                t0_large=t0_large,
+            )
+
+
+@pytest.mark.parametrize("spec", list(theorem1_reference_specs()))
+def test_theorem1_panel_matches_reference_bit_for_bit(spec):
+    for seed in (0, 1, derive_seed(7, 3)):
+        got = _theorem1_panel(spec, seed).outcomes
+        want = reference_theorem1_outcomes(spec, seed)
+        assert got.shape == want.shape
+        # compared as bit patterns, so -0.0 and 0.0 differ
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_theorem1_experiment_golden():
+    # recorded from the broadcast-draw generator
+    res = theorem1_experiment(Theorem1Spec(replications=3))
+    assert [x.hex() for x in res["gmm_mean"]] == [
+        "0x1.fb90c8f04c8fcp-2",
+        "0x1.02379b87d9b82p-1",
+    ]
+    assert [x.hex() for x in res["ols_mean"]] == [
+        "0x1.018621a3b5d24p-2",
+        "0x1.00230d79186f8p-2",
+    ]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"w_star": (0.0, 0.0)},
+        {"w_star": (0.7, -0.2)},
+        {"w_star": (float("nan"), 1.0)},
+        {"w_star": (float("inf"), 1.0)},
+        {"w_star": (1e308, 1e308)},
+        {"q_diag": (1.0, -1.0)},
+        {"q_diag": (float("nan"), 1.0)},
+        {"sigma_diag": (-0.5, 1.0)},
+        {"sigma_diag": (1.0, float("inf"))},
+        {"g": 0},
+    ],
+)
+def test_theorem1_rejects_invalid_spec(overrides):
+    with pytest.raises(BadConfigError):
+        Theorem1Spec(**overrides)
 
 
 def test_theorem1_result_schema():
