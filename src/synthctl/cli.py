@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .conformal import confidence_interval, default_grid, save_p_curve
-from .dte import bootstrap_counterfactual, mmd_test, quantiles, save_draws
-from .errors import SynthctlError
+from .dte import bootstrap_counterfactual, check_probs, mmd_test, quantiles, save_draws
+from .errors import BadProbError, SynthctlError
 from .estimators import Method, fit_method
 from .moments import MomentConfig
 from .panel import SCHEMA_VERSION, PanelData, PanelSchema, load_panel
@@ -37,14 +37,8 @@ from .simlab import (
 )
 from .solver import SolverOptions
 
-_FIT_METHODS = {
-    "dmscm": Method.DMSCM,
-    "d2mscm": Method.D2MSCM,
-    "abadie": Method.ABADIE,
-    "fp": Method.FP_DEMEANED,
-    "fp_demeaned": Method.FP_DEMEANED,
-    "ols": Method.OLS,
-}
+# every method by its value, plus the short alias "fp"
+_FIT_METHODS = {m.value: m for m in Method} | {"fp": Method.FP_DEMEANED}
 
 
 class _CliError(SynthctlError):
@@ -130,6 +124,14 @@ def _solver_options(args) -> SolverOptions:
     return SolverOptions(tol=args.tol, max_iter=args.max_iter)
 
 
+def _simplex_method(args, purpose: str) -> Method:
+    """The ``--method`` of a command whose ``purpose`` needs simplex weights."""
+    method = _FIT_METHODS[args.method]
+    if not method.simplex:
+        raise _CliError("BAD_METHOD", f"{purpose} needs a simplex estimator")
+    return method
+
+
 @contextlib.contextmanager
 def _writing(path):
     """Report a failed output write as a user error (``IO_WRITE``), not an internal one."""
@@ -164,13 +166,15 @@ def cmd_fit(args) -> int:
 def cmd_conformal(args) -> int:
     if not (0.0 < args.level < 1.0):
         raise _CliError("BAD_LEVEL", f"level must lie in (0, 1), got {args.level}")
-    if args.method == "ols":
-        raise _CliError("BAD_METHOD", "conformal inference needs a simplex estimator")
+    estimator = _simplex_method(args, "conformal inference")
+    if args.grid_points < 1:
+        raise _CliError("BAD_GRID", f"need --grid-points >= 1, got {args.grid_points}")
+    if (args.grid_min is None) != (args.grid_max is None):
+        raise _CliError("BAD_GRID", "give both --grid-min and --grid-max, or neither")
     panel = _load_panel_from_args(args)
     cfg = _moment_config(args)
     opts = _solver_options(args)
-    estimator = _FIT_METHODS[args.method]
-    if args.grid_min is not None and args.grid_max is not None:
+    if args.grid_min is not None:
         grid = np.linspace(args.grid_min, args.grid_max, args.grid_points)
     else:
         grid = default_grid(panel, estimator, cfg, opts, points=args.grid_points)
@@ -196,15 +200,24 @@ def cmd_conformal(args) -> int:
 def cmd_dte(args) -> int:
     if args.l <= 1:
         raise _CliError("BAD_L", f"need --L > 1, got {args.l}")
+    method = _simplex_method(args, "the counterfactual bootstrap")
+    try:
+        probs = [float(p) for p in args.probs.split(",") if p.strip()]
+    except ValueError:
+        raise BadProbError(
+            f"--probs must be comma-separated numbers, got {args.probs!r}"
+        ) from None
+    check_probs(probs)
+    if args.mmd and args.permutations < 1:
+        raise _CliError(
+            "BAD_PERMUTATIONS", f"need --permutations >= 1, got {args.permutations}"
+        )
     panel = _load_panel_from_args(args)
-    fit = fit_method(
-        panel, _FIT_METHODS[args.method], _moment_config(args), _solver_options(args)
-    )
+    fit = fit_method(panel, method, _moment_config(args), _solver_options(args))
     sample = bootstrap_counterfactual(panel, fit.weights, args.l, args.seed)
     if args.draws_out:
         with _writing(args.draws_out):
             save_draws(sample, args.draws_out)
-    probs = [float(p) for p in args.probs.split(",") if p.strip()]
     qs = quantiles(sample, probs)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -232,42 +245,74 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise _CliError("BAD_LIST", f"expected comma-separated integers, got {text!r}")
 
 
+def _parse_methods(text: str) -> tuple[Method, ...]:
+    methods = []
+    for name in text.split(","):
+        name = name.strip()
+        if name not in _FIT_METHODS:
+            raise _CliError("BAD_METHOD", f"unknown method {name!r} in config")
+        methods.append(_FIT_METHODS[name])
+    return tuple(methods)
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(text) from None
+
+
+# INI section -> key -> (StudySpec field, parser raising ValueError on a bad value);
+# other sections, such as a schema template's [panel], are not read
+_CONFIG_KEYS = {
+    "study": {
+        "methods": ("methods", _parse_methods),
+        "replications": ("replications", int),
+        "seed": ("base_seed", int),
+        "output_dir": ("output_dir", str),
+    },
+    "dgp": {
+        "j": ("j_values", _parse_int_list),
+        "g": ("g_values", _parse_int_list),
+        "t0": ("t0", int),
+        "t1": ("t1", int),
+        "k": ("k", int),
+        "tau": ("tau", float),
+        "drift_var": ("drift_var", float),
+        "var_floor": ("var_floor", float),
+        "var_floor_mode": ("var_floor_mode", str),
+        "stationary": ("stationary", _parse_bool),
+    },
+}
+
+
 def _study_from_config(path: str) -> dict:
-    parser = configparser.ConfigParser()
     if not Path(path).exists():
         raise _CliError("IO_NOT_FOUND", f"config file not found: {path}")
-    parser.read(path)
+    parser = configparser.ConfigParser()
+    try:
+        parser.read(path)
+        sections = {
+            name: dict(parser[name]) for name in _CONFIG_KEYS if parser.has_section(name)
+        }
+        defaults = parser.defaults()
+    except configparser.Error as exc:
+        message = " ".join(str(exc).split())  # configparser's messages span lines
+        raise _CliError("BAD_CONFIG", f"cannot read {path}: {message}") from exc
     values: dict = {}
-    if parser.has_section("study"):
-        sec = parser["study"]
-        if "methods" in sec:
-            methods = []
-            for name in sec["methods"].split(","):
-                name = name.strip()
-                if name not in _FIT_METHODS:
-                    raise _CliError("BAD_METHOD", f"unknown method {name!r} in config")
-                methods.append(_FIT_METHODS[name])
-            values["methods"] = tuple(methods)
-        for key in ("replications", "seed"):
-            if key in sec:
-                values["base_seed" if key == "seed" else key] = sec.getint(key)
-        if "output_dir" in sec:
-            values["output_dir"] = sec["output_dir"]
-    if parser.has_section("dgp"):
-        sec = parser["dgp"]
-        for key in ("j", "g"):
-            if key in sec:
-                values[f"{key}_values"] = _parse_int_list(sec[key])
-        for key in ("t0", "t1", "k"):
-            if key in sec:
-                values[key] = sec.getint(key)
-        for key in ("tau", "drift_var", "var_floor"):
-            if key in sec:
-                values[key] = sec.getfloat(key)
-        if "var_floor_mode" in sec:
-            values["var_floor_mode"] = sec["var_floor_mode"]
-        if "stationary" in sec:
-            values["stationary"] = sec.getboolean("stationary")
+    for name, entries in sections.items():
+        for key, raw in entries.items():
+            if key not in _CONFIG_KEYS[name]:
+                if key in defaults:
+                    continue  # a [DEFAULT] key is offered to every section
+                raise _CliError("BAD_CONFIG", f"unknown key {key!r} in [{name}]")
+            field, parse = _CONFIG_KEYS[name][key]
+            try:
+                values[field] = parse(raw)
+            except ValueError:
+                raise _CliError(
+                    "BAD_CONFIG", f"[{name}] {key} = {raw!r} is not a valid value"
+                ) from None
     return values
 
 
@@ -295,6 +340,13 @@ def cmd_simulate(args) -> int:
     # validate the thread count and the spec first: a rejected one leaves no directory
     threads = _threads(args.threads)
     if args.preset == "theorem1":
+        unused = sorted(set(overrides) - {"replications", "base_seed"})
+        if unused:
+            raise _CliError(
+                "BAD_CONFIG",
+                "--preset theorem1 takes only a replication count, a seed and an "
+                f"output directory, not {', '.join(unused)}",
+            )
         spec = Theorem1Spec(
             seed=overrides.get("base_seed", 0),
             replications=overrides.get("replications", 100),

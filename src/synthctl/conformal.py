@@ -105,16 +105,9 @@ def conformal_p_value(
 
     The returned value is #{rotations with statistic >= identity} / T, over
     all T cyclic rotations including the identity, so it lies on the grid
-    {1/T, 2/T, ..., 1}.
+    {1/T, 2/T, ..., 1}. A method without simplex weights (OLS) is rejected
+    with ``BadConfigError``.
     """
-    estimator = Method(estimator)
-    if estimator not in (
-        Method.DMSCM,
-        Method.D2MSCM,
-        Method.ABADIE,
-        Method.FP_DEMEANED,
-    ):
-        raise BadConfigError(f"estimator {estimator} not supported for inference")
     alpha = null.resolve(panel.n_post)
     adjusted = panel.treated_outcomes.copy()
     adjusted[panel.t0 :] -= alpha
@@ -123,10 +116,7 @@ def conformal_p_value(
     wv, _ = estimate_weights(
         extended, estimator, cfg, opts, window=extended.n_periods
     )
-    predicted = wv.weights @ extended.untreated_outcomes
-    if wv.intercept is not None:
-        predicted = predicted + wv.intercept
-    residuals = extended.treated_outcomes - predicted
+    residuals = extended.treated_outcomes - wv.predict(extended.untreated_outcomes)
 
     stats = _rotation_statistics(np.abs(residuals), panel.t0)
     return float(np.count_nonzero(stats >= stats[0])) / panel.n_periods

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadProbError, DimensionMismatchError, EmptyPostError
+from .errors import BadConfigError, BadProbError, DimensionMismatchError, EmptyPostError
 from .panel import SCHEMA_VERSION, PanelData, open_csv
 from .solver import WeightVector
 
@@ -31,6 +31,7 @@ __all__ = [
     "BootstrapSample",
     "MmdReport",
     "bootstrap_counterfactual",
+    "check_probs",
     "quantiles",
     "mmd_squared",
     "mmd_test",
@@ -78,10 +79,13 @@ def bootstrap_counterfactual(
     fitted weight probabilities and its resampled value is kept. When the
     weights carry an intercept (demeaned fit), the intercept is added to
     every draw so the sample targets the shifted counterfactual density; the
-    raw-mixture bootstrap corresponds to intercept-free weights.
+    raw-mixture bootstrap corresponds to intercept-free weights. Weights off
+    the simplex (``simplex=False``) are no probabilities and are rejected.
     """
     if l <= 1:
         raise DimensionMismatchError(f"need l > 1 draws, got {l}")
+    if not weights.simplex:
+        raise BadConfigError("the bootstrap needs simplex weights (mixture probabilities)")
     t1 = panel.n_post
     if t1 == 0:
         raise EmptyPostError("panel has no post-intervention periods")
@@ -106,8 +110,8 @@ def bootstrap_counterfactual(
     return BootstrapSample(draws=draws, l=l, seed=seed, weights_used=weights)
 
 
-def quantiles(sample: BootstrapSample, probs) -> list[float]:
-    """Empirical quantiles with linear interpolation between order statistics."""
+def check_probs(probs) -> list[float]:
+    """Return ``probs`` as a list after checking it: non-empty, in (0, 1), ascending."""
     probs = list(probs)
     if not probs:
         raise BadProbError("probs must be non-empty")
@@ -116,6 +120,12 @@ def quantiles(sample: BootstrapSample, probs) -> list[float]:
             raise BadProbError(f"quantile probability {p} outside (0, 1)")
     if any(b < a for a, b in zip(probs, probs[1:])):
         raise BadProbError("probs must be sorted ascending")
+    return probs
+
+
+def quantiles(sample: BootstrapSample, probs) -> list[float]:
+    """Empirical quantiles with linear interpolation between order statistics."""
+    probs = check_probs(probs)
     return [float(q) for q in np.quantile(sample.draws, probs)]
 
 

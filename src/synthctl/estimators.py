@@ -6,6 +6,10 @@ the classical baselines (simplex-constrained least squares and its demeaned
 variant) solve the pre-period regression quadratic with the same simplex
 solver. Every fit returns the full counterfactual series, the post-period
 effect series, and solver diagnostics.
+
+``Method`` holds every per-method decision (simplex weights, moment
+matching, demeaning with an intercept); other modules ask its properties,
+and every fit goes through ``fit_method``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMatrixError
+from .errors import BadConfigError, SingularMatrixError
 from .moments import MomentConfig, MomentSystem, build_demeaned_system, build_system
 from .panel import SCHEMA_VERSION, PanelData, demean_rows
 from .solver import (
@@ -47,6 +51,21 @@ class Method(str, enum.Enum):
     ABADIE = "abadie"
     FP_DEMEANED = "fp_demeaned"
     OLS = "ols"
+
+    @property
+    def simplex(self) -> bool:
+        """The weights lie on the simplex, so they are mixture probabilities."""
+        return self is not Method.OLS
+
+    @property
+    def matches_moments(self) -> bool:
+        """The fit matches moment orders, so it depends on the number of them."""
+        return self in (Method.DMSCM, Method.D2MSCM)
+
+    @property
+    def demeaned(self) -> bool:
+        """The fit uses a demeaned system and reports an intercept."""
+        return self in (Method.D2MSCM, Method.FP_DEMEANED)
 
 
 @dataclass(frozen=True)
@@ -112,20 +131,18 @@ def estimate_weights(
     """
     window = panel.t0 if window is None else window
     method = Method(method)
-    if method in (Method.DMSCM, Method.D2MSCM):
-        if method is Method.DMSCM:
-            system: MomentSystem = build_system(panel, cfg, window=window)
-        else:
-            system = build_demeaned_system(panel, cfg, window=window)
+    if not method.simplex:
+        raise BadConfigError(f"method {method.value} has no simplex weights")
+    if method.matches_moments:
+        build = build_demeaned_system if method.demeaned else build_system
+        system: MomentSystem | _LinearSystem = build(panel, cfg, window=window)
         v = cfg.weighting_matrix(system.n_moments)
-        wv, diag = solve_simplex_qp(system, v, opts)
-    elif method in (Method.ABADIE, Method.FP_DEMEANED):
-        system = _ls_rows(panel.outcomes, window, method is Method.FP_DEMEANED)
-        wv, diag = solve_simplex_qp(system, None, opts)
     else:
-        raise ValueError(f"no simplex weights for method {method}")
+        system = _ls_rows(panel.outcomes, window, method.demeaned)
+        v = None
+    wv, diag = solve_simplex_qp(system, v, opts)
 
-    if method in (Method.D2MSCM, Method.FP_DEMEANED):
+    if method.demeaned:
         means, _ = demean_rows(panel.outcomes, window)
         intercept = float(means[0] - wv.weights @ means[1:])
         wv = WeightVector(wv.weights, intercept=intercept)
@@ -134,9 +151,7 @@ def estimate_weights(
 
 def _result(panel: PanelData, method: Method, wv: WeightVector,
             diag: SolveDiagnostics) -> FitResult:
-    counterfactual = wv.weights @ panel.untreated_outcomes
-    if wv.intercept is not None:
-        counterfactual = counterfactual + wv.intercept
+    counterfactual = wv.predict(panel.untreated_outcomes)
     att = panel.treated_outcomes[panel.t0 :] - counterfactual[panel.t0 :]
     pre_gap = panel.treated_outcomes[: panel.t0] - counterfactual[: panel.t0]
     return FitResult(
@@ -149,14 +164,27 @@ def _result(panel: PanelData, method: Method, wv: WeightVector,
     )
 
 
+def fit_method(
+    panel: PanelData,
+    method: Method,
+    cfg: MomentConfig = MomentConfig(),
+    opts: SolverOptions = SolverOptions(),
+) -> FitResult:
+    """Fit any method: OLS by least squares, the others by ``estimate_weights``."""
+    method = Method(method)
+    if not method.simplex:
+        return fit_ols(panel)
+    wv, diag = estimate_weights(panel, method, cfg, opts)
+    return _result(panel, method, wv, diag)
+
+
 def fit_dmscm(
     panel: PanelData,
     cfg: MomentConfig = MomentConfig(),
     opts: SolverOptions = SolverOptions(),
 ) -> FitResult:
     """Density-matching fit: moment-matched simplex weights, no intercept."""
-    wv, diag = estimate_weights(panel, Method.DMSCM, cfg, opts)
-    return _result(panel, Method.DMSCM, wv, diag)
+    return fit_method(panel, Method.DMSCM, cfg, opts)
 
 
 def fit_d2mscm(
@@ -165,24 +193,21 @@ def fit_d2mscm(
     opts: SolverOptions = SolverOptions(),
 ) -> FitResult:
     """Demeaned density-matching fit with the mean-gap intercept."""
-    wv, diag = estimate_weights(panel, Method.D2MSCM, cfg, opts)
-    return _result(panel, Method.D2MSCM, wv, diag)
+    return fit_method(panel, Method.D2MSCM, cfg, opts)
 
 
 def fit_abadie(
     panel: PanelData, opts: SolverOptions = SolverOptions()
 ) -> FitResult:
     """Simplex-constrained least squares on pre-period outcome levels."""
-    wv, diag = estimate_weights(panel, Method.ABADIE, MomentConfig(g=1), opts)
-    return _result(panel, Method.ABADIE, wv, diag)
+    return fit_method(panel, Method.ABADIE, opts=opts)
 
 
 def fit_fp_demeaned(
     panel: PanelData, opts: SolverOptions = SolverOptions()
 ) -> FitResult:
     """Simplex-constrained least squares on demeaned outcomes, with intercept."""
-    wv, diag = estimate_weights(panel, Method.FP_DEMEANED, MomentConfig(g=1), opts)
-    return _result(panel, Method.FP_DEMEANED, wv, diag)
+    return fit_method(panel, Method.FP_DEMEANED, opts=opts)
 
 
 def fit_ols(panel: PanelData) -> FitResult:
@@ -195,29 +220,11 @@ def fit_ols(panel: PanelData) -> FitResult:
         iterations=0,
         final_objective=float(np.mean(resid**2)),
         projected_gradient_norm=0.0,
-        rank_estimate=int(np.linalg.matrix_rank(x)),
+        # ls_unconstrained has already required full column rank
+        rank_estimate=panel.n_untreated,
         converged=True,
     )
     return _result(panel, Method.OLS, wv, diag)
-
-
-_FITTERS = {
-    Method.DMSCM: lambda panel, cfg, opts: fit_dmscm(panel, cfg, opts),
-    Method.D2MSCM: lambda panel, cfg, opts: fit_d2mscm(panel, cfg, opts),
-    Method.ABADIE: lambda panel, cfg, opts: fit_abadie(panel, opts),
-    Method.FP_DEMEANED: lambda panel, cfg, opts: fit_fp_demeaned(panel, opts),
-    Method.OLS: lambda panel, cfg, opts: fit_ols(panel),
-}
-
-
-def fit_method(
-    panel: PanelData,
-    method: Method,
-    cfg: MomentConfig = MomentConfig(),
-    opts: SolverOptions = SolverOptions(),
-) -> FitResult:
-    """Dispatch a fit by method name."""
-    return _FITTERS[Method(method)](panel, cfg, opts)
 
 
 @dataclass(frozen=True)

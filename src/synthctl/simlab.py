@@ -14,8 +14,7 @@ results do not depend on which replications ran before it.
 from __future__ import annotations
 
 import csv
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -55,8 +54,7 @@ class MixtureDgpConfig:
     """Mixture-panel generator settings.
 
     Outcome means and variances random-walk over time with increment variance
-    ``drift_var`` (an increment standard deviation instead when
-    ``drift_is_sd`` is set). The variance walk is kept positive by
+    ``drift_var``. The variance walk is kept positive by
     ``var_floor``: in ``"level"`` mode the variance itself is floored, so it
     can shrink but never drops below the floor; in ``"increment"`` mode every
     increment below the floor is replaced by it, so variance never decreases.
@@ -71,7 +69,6 @@ class MixtureDgpConfig:
     tau: float = 20.0
     var_init_range: tuple[float, float] = (1.0, 20.0)
     drift_var: float = 10.0
-    drift_is_sd: bool = False
     var_floor: float = 0.1
     var_floor_mode: str = "level"  # "level" | "increment"
     stationary: bool = False
@@ -119,7 +116,7 @@ def gen_mixture_dgp(cfg: MixtureDgpConfig) -> tuple[PanelData, DgpTruth]:
     means[:, 1:, :] = means[:, :1, :]
     variances[:, 1:, :] = variances[:, :1, :]
     if not cfg.stationary:
-        drift_sd = cfg.drift_var if cfg.drift_is_sd else np.sqrt(cfg.drift_var)
+        drift_sd = np.sqrt(cfg.drift_var)
         mean_steps = drift_sd * rng.standard_normal((j, t - 1))
         var_steps = drift_sd * rng.standard_normal((j, t - 1))
         means[:, 1:, 0] = means[:, :1, 0] + np.cumsum(mean_steps, axis=1)
@@ -197,11 +194,22 @@ class StudySpec:
         )
         if self.replications < 1:
             raise BadConfigError("need at least one replication")
+        if not (self.j_values and self.g_values and self.methods):
+            raise BadConfigError("need at least one j value, one g value and one method")
+        if self.compute_mmd and not all(m.simplex for m in self.methods):
+            raise BadConfigError(
+                "the MMD bootstraps the fitted weights; every method needs simplex weights"
+            )
         if self.x_axis not in ("g", "j"):
             raise BadConfigError("x_axis must be 'g' or 'j'")
         if self.k == 0 and self.include_covariates:
             # nothing to include when the DGP generates no covariates
             object.__setattr__(self, "include_covariates", False)
+        # build each cell's settings once, so a bad value fails before any run
+        for j in self.j_values:
+            self.dgp_config(j, seed=0)
+        for g in self.g_values:
+            MomentConfig(g=g, scaling=self.scaling)
 
     def dgp_config(self, j: int, seed: int) -> MixtureDgpConfig:
         return MixtureDgpConfig(
@@ -229,7 +237,6 @@ class ReplicationRecord:
     mean_att_error: float | None  # |mean post-period tau_hat - tau|
     weight_error: float | None
     mmd_to_truth: float | None
-    runtime_s: float | None
     error: str | None = None
 
 
@@ -288,38 +295,20 @@ class ReplicationResult:
         }
 
     def save_records_csv(self, target) -> None:
-        """Write the raw records; excludes wall-clock runtimes so the file is
-        bit-reproducible for a fixed base seed."""
+        """Write the raw records, one column per ``ReplicationRecord`` field.
+
+        Methods are written by value and missing values as empty cells; the
+        file is bit-reproducible for a fixed base seed.
+        """
         with open_csv(target, "w") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "j",
-                    "g",
-                    "method",
-                    "replication",
-                    "seed",
-                    "att_error",
-                    "mean_att_error",
-                    "weight_error",
-                    "mmd_to_truth",
-                    "error",
-                ]
-            )
+            names = [f.name for f in fields(ReplicationRecord)]
+            writer.writerow(names)
             for r in self.records:
+                values = (getattr(r, name) for name in names)
                 writer.writerow(
-                    [
-                        r.j,
-                        r.g,
-                        r.method.value,
-                        r.replication,
-                        r.seed,
-                        "" if r.att_error is None else repr(r.att_error),
-                        "" if r.mean_att_error is None else repr(r.mean_att_error),
-                        "" if r.weight_error is None else repr(r.weight_error),
-                        "" if r.mmd_to_truth is None else repr(r.mmd_to_truth),
-                        r.error or "",
-                    ]
+                    "" if v is None else v.value if isinstance(v, Method) else v
+                    for v in values
                 )
 
     def save_figure_csv(self, target) -> None:
@@ -351,7 +340,6 @@ def _fit_record(
     seed: int,
     mmd_index: int,
 ) -> ReplicationRecord:
-    start = time.perf_counter()
     try:
         fit = fit_method(
             panel,
@@ -382,16 +370,11 @@ def _fit_record(
             mean_att_error,
             weight_error,
             mmd_val,
-            time.perf_counter() - start,
         )
     except SynthctlError as exc:
         return ReplicationRecord(
-            j, g, method, replication, seed, None, None, None, None, None, str(exc)
+            j, g, method, replication, seed, None, None, None, None, str(exc)
         )
-
-
-# methods whose fit does not depend on the number of moment orders
-_G_INVARIANT = {Method.ABADIE, Method.FP_DEMEANED, Method.OLS}
 
 
 def _run_replication(
@@ -405,10 +388,11 @@ def _run_replication(
     seed = derive_seed(spec.base_seed, j_index, replication)
     panel, truth = gen_mixture_dgp(spec.dgp_config(j, seed))
     records: list[ReplicationRecord] = []
+    # a method that matches no moments gives the same fit at every g
     invariant_cache: dict[Method, ReplicationRecord] = {}
     for g_index, g in enumerate(spec.g_values):
         for m_index, method in enumerate(spec.methods):
-            if method in _G_INVARIANT and method in invariant_cache:
+            if method in invariant_cache:
                 cached = invariant_cache[method]
                 records.append(replace(cached, g=g))
                 continue
@@ -423,7 +407,7 @@ def _run_replication(
                 seed,
                 mmd_index=g_index * len(spec.methods) + m_index,
             )
-            if method in _G_INVARIANT:
+            if not method.matches_moments:
                 invariant_cache[method] = rec
             records.append(rec)
     return records

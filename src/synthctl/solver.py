@@ -60,6 +60,13 @@ class WeightVector:
     def __len__(self) -> int:
         return self.weights.shape[0]
 
+    def predict(self, untreated: np.ndarray) -> np.ndarray:
+        """The weighted series ``weights @ untreated``, plus the intercept if any."""
+        series = self.weights @ untreated
+        if self.intercept is not None:
+            series = series + self.intercept
+        return series
+
 
 @dataclass(frozen=True)
 class SolveDiagnostics:

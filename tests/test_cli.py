@@ -472,3 +472,109 @@ def test_simulate_unwritable_output_dir_is_user_error(tmp_path, capsys):
     )
     assert code == 1
     assert capsys.readouterr().err.startswith("error: IO_WRITE: ")
+
+
+# each command's own arguments, every output file included
+INFERENCE_ARGS = {
+    "dte": ["--L", "50", "--draws-out", "draws.csv", "--output", "q.json",
+            "--mmd-out", "mmd.json"],
+    "conformal": ["--output", "report.json", "--csv", "curve.csv"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, extra, code",
+    [
+        ("dte", ["--probs", "abc"], "BAD_PROB"),
+        ("dte", ["--probs", ""], "BAD_PROB"),
+        ("dte", ["--probs", "0,0.5"], "BAD_PROB"),
+        ("dte", ["--probs", "0.5,0.25"], "BAD_PROB"),
+        ("dte", ["--mmd", "--permutations", "0"], "BAD_PERMUTATIONS"),
+        ("conformal", ["--grid-min", "0", "--grid-max", "1", "--grid-points", "-1"], "BAD_GRID"),
+        ("conformal", ["--grid-points", "0"], "BAD_GRID"),
+        ("conformal", ["--grid-min", "-1"], "BAD_GRID"),
+    ],
+)
+def test_inference_mistakes_exit_1_before_any_output(
+    tmp_path, monkeypatch, capsys, command, extra, code
+):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--input", str(DATA / "toy_panel.csv"), "--treated", "treated",
+            "--t0", "10", "--g", "2", *extra, *INFERENCE_ARGS[command]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {code}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+SIMULATE_DGP = "[dgp]\nj = 3\ng = 2\nt0 = 12\nt1 = 5\nk = 0\n"
+
+
+@pytest.mark.parametrize(
+    "config, code",
+    [
+        ("[study]\nreplications = two\n" + SIMULATE_DGP, "BAD_CONFIG"),
+        ("[study]\nseed = 1.5\n" + SIMULATE_DGP, "BAD_CONFIG"),
+        (SIMULATE_DGP.replace("t0 = 12", "t0 = twelve"), "BAD_CONFIG"),
+        (SIMULATE_DGP.replace("t1 = 5", "t1 = 5.0"), "BAD_CONFIG"),
+        (SIMULATE_DGP.replace("k = 0", "k = none"), "BAD_CONFIG"),
+        (SIMULATE_DGP + "tau = big\n", "BAD_CONFIG"),
+        (SIMULATE_DGP + "stationary = maybe\n", "BAD_CONFIG"),
+        ("replications = 1\n" + SIMULATE_DGP, "BAD_CONFIG"),
+        ("[study]\nreplication = 1\n" + SIMULATE_DGP, "BAD_CONFIG"),
+        (SIMULATE_DGP + "drift = 2.0\n", "BAD_CONFIG"),
+        (SIMULATE_DGP.replace("t0 = 12", "t0 = 1"), "BAD_CONFIG"),
+        (SIMULATE_DGP.replace("g = 2", "g = 0"), "BAD_CONFIG"),
+        (SIMULATE_DGP + "var_floor_mode = never\n", "BAD_CONFIG"),
+        (SIMULATE_DGP.replace("j = 3", "j = ,"), "BAD_CONFIG"),
+        (SIMULATE_DGP.replace("j = 3", "j = 3,x"), "BAD_LIST"),
+        ("[study]\nmethods = dmscm, bogus\n" + SIMULATE_DGP, "BAD_METHOD"),
+    ],
+)
+def test_simulate_config_mistakes_exit_1_without_output_dir(tmp_path, capsys, config, code):
+    ini = tmp_path / "study.ini"
+    ini.write_text(config)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(ini), "--replications", "1",
+                 "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {code}: ")
+    assert not out.exists()
+
+
+def test_simulate_config_ignores_other_sections(tmp_path):
+    # a schema template's [panel] and [covariates] sections are not study keys
+    out = tmp_path / "out"
+    config = DATA / "schema_templates" / "basque.ini"
+    assert main(["simulate", "--config", str(config), "--replications", "1",
+                 "--j", "3", "--g", "2", "--output-dir", str(out)]) == 0
+    assert len((out / "records.csv").read_text().strip().splitlines()) == 1 + 2
+
+    # [DEFAULT] offers its keys to every section; only study keys are read
+    config = tmp_path / "defaults.ini"
+    config.write_text("[DEFAULT]\nunit = region\nseed = 3\n[study]\n" + SIMULATE_DGP)
+    assert main(["simulate", "--config", str(config), "--replications", "1",
+                 "--output-dir", str(tmp_path / "d")]) == 0
+
+
+@pytest.mark.parametrize(
+    "extra, config",
+    [
+        (["--j", "3"], None),
+        (["--g", "2"], None),
+        (["--mmd"], None),
+        ([], "[study]\nmethods = dmscm\n"),
+        ([], "[dgp]\nt0 = 12\n"),
+    ],
+)
+def test_simulate_theorem1_rejects_settings_it_does_not_use(tmp_path, capsys, extra, config):
+    out = tmp_path / "out"
+    argv = ["simulate", "--preset", "theorem1", "--replications", "1", *extra,
+            "--output-dir", str(out)]
+    if config is not None:
+        ini = tmp_path / "study.ini"
+        ini.write_text(config)
+        argv += ["--config", str(ini)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: BAD_CONFIG: ")
+    assert not out.exists()

@@ -17,7 +17,7 @@ from synthctl.dte import (
     quantiles,
     save_draws,
 )
-from synthctl.errors import BadProbError, DimensionMismatchError
+from synthctl.errors import BadConfigError, BadProbError, DimensionMismatchError
 from synthctl.panel import PanelData
 from synthctl.solver import WeightVector
 
@@ -90,6 +90,13 @@ def test_bootstrap_requires_multiple_draws():
     panel = simple_panel()
     with pytest.raises(DimensionMismatchError):
         bootstrap_counterfactual(panel, WeightVector(np.array([1.0, 0.0, 0.0])), 1, 0)
+
+
+def test_bootstrap_rejects_weights_off_the_simplex():
+    # unconstrained least-squares weights are no probabilities to draw units by
+    weights = WeightVector(np.array([0.7, -0.1, 0.4]), simplex=False)
+    with pytest.raises(BadConfigError):
+        bootstrap_counterfactual(simple_panel(), weights, 10, 0)
 
 
 def test_quantile_examples():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -19,7 +20,7 @@ from synthctl.estimators import (
 )
 from synthctl.moments import MomentConfig
 from synthctl.panel import PanelData
-from synthctl.simlab import MixtureDgpConfig, gen_mixture_dgp
+from synthctl.simlab import MixtureDgpConfig, figure2_spec, gen_mixture_dgp
 from synthctl.seeding import derive_seed
 
 from conftest import gaussian_mixture_panel
@@ -230,3 +231,93 @@ def test_fit_result_serializes_against_schema():
     jsonschema.validate(payload, schema)
     assert payload["schema_version"] == 1
     assert payload["intercept"] is None
+
+
+# fit_method on one seeded figure2 panel, recorded before the per-method
+# decisions moved into Method: float.hex of the weights, the intercept, a
+# sha256 over float.hex of the counterfactual, pre_fit_rmse, and the
+# diagnostics (iterations, final_objective, projected_gradient_norm,
+# rank_estimate, converged, non_unique)
+FIT_METHOD_GOLDEN = {
+    Method.DMSCM: (
+        [
+            "0x0.0p+0", "0x1.59d5612b8de5cp-2", "0x0.0p+0",
+            "0x1.03e3b561873e6p-3", "0x0.0p+0", "0x1.bb875d3e87778p-3",
+            "0x0.0p+0", "0x0.0p+0", "0x1.467515846abf3p-2",
+            "0x0.0p+0",
+        ],
+        None,
+        "4638a2fa66cf2e72c6ac688d8d1ad5ab5ba409e7a2f8e4a78e4806f6c8b0b6d7",
+        "0x1.165b2e0b46aaep+3",
+        (128, "0x1.37f62e8df6236p-8", "0x1.0000000000000p-54", 10, True, False),
+    ),
+    Method.D2MSCM: (
+        [
+            "0x0.0p+0", "0x1.0a02b48b1829bp-2", "0x0.0p+0",
+            "0x1.430f345df594ep-3", "0x0.0p+0", "0x1.ab2ce297543e4p-3",
+            "0x0.0p+0", "0x0.0p+0", "0x1.7edf3ffa42ecep-2",
+            "0x0.0p+0",
+        ],
+        "-0x1.0a9cd00c3a678p-1",
+        "a87d7b8d881bbc61fdaf3d5b439fcfb7ea1da06ae70c4c1e64ccf66c61c0b6a7",
+        "0x1.1736a2994d485p+3",
+        (152, "0x1.f30a662bd7fbcp-8", "0x1.56dbc00000000p-34", 9, True, True),
+    ),
+    Method.ABADIE: (
+        [
+            "0x0.0p+0", "0x1.2b15e5f5521ddp-2", "0x0.0p+0",
+            "0x1.c83416b21af1ep-3", "0x1.57a5bd823d5d0p-3", "0x0.0p+0",
+            "0x1.2011976b75453p-3", "0x0.0p+0", "0x1.69e8c8758e302p-3",
+            "0x0.0p+0",
+        ],
+        None,
+        "695babf76b1fa18157b754c88f7fd41d9b693b00fe50c65a2ca44d10ca2150d4",
+        "0x1.091b0febd361ap+3",
+        (160, "0x1.128909d2985c2p+6", "0x1.8000000000000p-54", 10, True, False),
+    ),
+    Method.FP_DEMEANED: (
+        [
+            "0x0.0p+0", "0x1.2a3e6969878b1p-2", "0x0.0p+0",
+            "0x1.bc04d289aa704p-3", "0x1.580d535e3fc4ap-3", "0x0.0p+0",
+            "0x1.2382879cca910p-3", "0x0.0p+0", "0x1.73ee7fa83c243p-3",
+            "0x0.0p+0",
+        ],
+        "-0x1.14ebb2f094b80p-3",
+        "f8921805aa6ddfa36a3dfbc98204dec3309531cda9e93de09311f27d5dbca2b2",
+        "0x1.0919c37da1814p+3",
+        (128, "0x1.12865951dc2fdp+6", "0x1.0000000000000p-53", 10, True, False),
+    ),
+    Method.OLS: (
+        [
+            "-0x1.c357580852c00p-2", "0x1.27cba2e93557fp-1", "0x1.63c624cabd8a7p-5",
+            "0x1.0f19df9484483p-2", "0x1.9a492ae37f0fep-2", "-0x1.84313ccd0d2d8p-3",
+            "0x1.64ec50a35a97fp-2", "0x1.3982689e1af1ep-6", "0x1.1fabfc506ff89p-3",
+            "-0x1.e992fb73e83bcp-4",
+        ],
+        None,
+        "f90fd58477a48d55a9dcb660c0e61df75b9ae21606848f7b77928b34547951d0",
+        "0x1.f4496fd59bc7ap+2",
+        (0, "0x1.e8d778f5b098cp+5", "0x0.0p+0", 10, True, False),
+    ),
+}
+
+
+def test_fit_method_golden():
+    panel, _ = gen_mixture_dgp(figure2_spec().dgp_config(10, derive_seed(0, 0, 0)))
+    cfg = MomentConfig(g=5, include_covariates=True, scaling="max_abs")
+    assert set(FIT_METHOD_GOLDEN) == set(Method)
+    for method, (weights, intercept, counterfactual, rmse, diag) in FIT_METHOD_GOLDEN.items():
+        fit = fit_method(panel, method, cfg)
+        w, d = fit.weights, fit.diagnostics
+        assert fit.method is method
+        assert [float.hex(x) for x in w.weights.tolist()] == weights, method
+        assert (None if w.intercept is None else float.hex(w.intercept)) == intercept, method
+        digest = hashlib.sha256(
+            " ".join(map(float.hex, fit.counterfactual.tolist())).encode()
+        ).hexdigest()
+        assert digest == counterfactual, method
+        assert float.hex(fit.pre_fit_rmse) == rmse, method
+        assert (
+            d.iterations, float.hex(d.final_objective),
+            float.hex(d.projected_gradient_norm), d.rank_estimate, d.converged, d.non_unique,
+        ) == diag, method

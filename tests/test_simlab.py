@@ -239,6 +239,34 @@ def test_compute_mmd_records_values():
     assert all(r.mmd_to_truth is not None for r in result.records)
 
 
+def test_study_rejects_mmd_without_simplex_weights():
+    StudySpec(methods=(Method.DMSCM, Method.OLS))
+    with pytest.raises(BadConfigError):
+        StudySpec(methods=(Method.DMSCM, Method.OLS), compute_mmd=True)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"j_values": ()},
+        {"g_values": ()},
+        {"methods": ()},
+        {"j_values": (3, 0)},
+        {"t0": 1},
+        {"t1": 0},
+        {"k": -1},
+        {"var_floor": 0.0},
+        {"var_floor_mode": "never"},
+        {"g_values": (2, 0)},
+        {"scaling": "bogus"},
+    ],
+)
+def test_study_spec_rejects_bad_cell_settings(overrides):
+    # a bad setting fails when the spec is built, not in the middle of the run
+    with pytest.raises(BadConfigError):
+        StudySpec(**overrides)
+
+
 def test_theorem1_no_noise_recovers_weights():
     spec = Theorem1Spec(
         w_star=(0.5, 0.5),
