@@ -148,10 +148,9 @@ def _write_json(payload: dict, path) -> None:
 
 
 def cmd_fit(args) -> int:
+    opts = _solver_options(args)
     panel = _load_panel_from_args(args)
-    fit = fit_method(
-        panel, _FIT_METHODS[args.method], _moment_config(args), _solver_options(args)
-    )
+    fit = fit_method(panel, _FIT_METHODS[args.method], _moment_config(args), opts)
     _write_json(fit.to_json_dict(), args.output)
     weights = " ".join(f"{w:.6f}" for w in fit.weights.weights)
     print(f"method: {fit.method.value}")
@@ -171,9 +170,9 @@ def cmd_conformal(args) -> int:
         raise _CliError("BAD_GRID", f"need --grid-points >= 1, got {args.grid_points}")
     if (args.grid_min is None) != (args.grid_max is None):
         raise _CliError("BAD_GRID", "give both --grid-min and --grid-max, or neither")
+    opts = _solver_options(args)
     panel = _load_panel_from_args(args)
     cfg = _moment_config(args)
-    opts = _solver_options(args)
     if args.grid_min is not None:
         grid = np.linspace(args.grid_min, args.grid_max, args.grid_points)
     else:
@@ -212,8 +211,9 @@ def cmd_dte(args) -> int:
         raise _CliError(
             "BAD_PERMUTATIONS", f"need --permutations >= 1, got {args.permutations}"
         )
+    opts = _solver_options(args)
     panel = _load_panel_from_args(args)
-    fit = fit_method(panel, method, _moment_config(args), _solver_options(args))
+    fit = fit_method(panel, method, _moment_config(args), opts)
     sample = bootstrap_counterfactual(panel, fit.weights, args.l, args.seed)
     if args.draws_out:
         with _writing(args.draws_out):

@@ -6,19 +6,30 @@ the value of a unit selected with the fitted weights. All randomness flows
 through an explicit 64-bit seed; there is no global RNG state. Independent
 replications must derive distinct child seeds (see ``synthctl.seeding``).
 
-The MMD permutation test runs in O(n * (block + P)) memory for n pooled
-values and P permutations, never O(n^2). The median-heuristic bandwidth is
-an exact selection over the sorted sample, bit-identical to the median of
-the dense pairwise differences. The Gaussian kernel is formed one strip of
-rows at a time (at most 2**20 entries, upper block triangle only, since the
-kernel is symmetric); each strip adds to the row sums and to one product
-with the n x (P + 1) matrix of 0/1 split indicators, which scores the
-observed split and every permutation together.
+The MMD permutation test never holds an n x n array for n pooled values.
+The median-heuristic bandwidth is an exact selection over the sorted sample,
+bit-identical to the median of the dense pairwise differences. The Gaussian
+kernel is formed one strip of rows at a time (at most 2**20 entries, upper
+block triangle only, since the kernel is symmetric) for its row sums. Each
+of the observed split and the P permutations is the sorted positions of its
+smaller sample, n_s values, and needs in addition the kernel sum within that
+sample, which one of two paths computes:
+
+- the product path multiplies each strip by the n x (P + 1) matrix of 0/1
+  split indicators, about n^2 / 2 multiply-adds per split;
+- the gather path forms the n_s (n_s - 1) / 2 within-sample kernel entries
+  of every split from the gathered values, in blocks of splits that hold at
+  most one strip.
+
+A gathered entry costs about 100 multiply-adds of the product, so the
+gather path runs when n_s (n_s - 1) * 100 < n^2 (see ``_gathers``): for
+unbalanced samples, such as a few observed values against thousands of
+bootstrap draws. Either way the memory is O(2**20 + P * n_s), since the
+product path runs only where n is below about 10 n_s.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,17 +141,24 @@ def quantiles(sample: BootstrapSample, probs) -> list[float]:
 
 
 def save_draws(sample: BootstrapSample, target) -> None:
-    """Write the bootstrap draws as a one-column CSV."""
+    """Write the bootstrap draws as a one-column CSV.
+
+    The bytes ``csv.writer`` would write: ``repr`` of each value, which never
+    needs quoting, and ``\\r\\n`` line ends, in one ``write`` call.
+    """
+    lines = ["draw", *map(repr, sample.draws.tolist()), ""]
     with open_csv(target, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["draw"])
-        for value in sample.draws:
-            writer.writerow([repr(float(value))])
+        fh.write("\r\n".join(lines))
 
 
-# One kernel strip holds at most this many float64 values (8 MiB), so the
-# MMD test needs O(n * (block + permutations)) memory for n pooled values.
+# One kernel strip holds at most this many float64 values (8 MiB); so does
+# one block of gathered within-sample kernel entries.
 _STRIP_ELEMS = 1 << 20
+# Time of one gathered within-sample kernel entry (subtract, square, negate,
+# divide, exp, sum) over that of one multiply-add of the strip product. On a
+# 2-core x86-64 host with one BLAS thread, 500 permutations, the ratio
+# measured 57-130 over shapes from 200 vs 200 to 50 vs 5,000 values.
+_GATHER_PAIR_COST = 100
 # Pivot sampling in the pairwise-difference selection: sample size, and how
 # many sample ranks each pivot sits from the target rank (at least four
 # standard deviations of the target's rank within the sample).
@@ -235,29 +253,78 @@ def _median_bandwidth(pooled: np.ndarray) -> float:
     return med if med > 0 else 1.0
 
 
-def _mmd2_splits(pooled: np.ndarray, h: float, masks: np.ndarray) -> np.ndarray:
+def _gathers(n: int, n_s: int) -> bool:
+    """Whether ``_mmd2_splits`` sums gathered within-sample pairs for n pooled values.
+
+    Per split, the strip product costs about n^2 / 2 multiply-adds and the
+    gather n_s (n_s - 1) / 2 kernel entries of about _GATHER_PAIR_COST
+    multiply-adds each. The measured crossover is near n_s / n = 0.09.
+    """
+    return n_s * (n_s - 1) * _GATHER_PAIR_COST < n * n
+
+
+def _within_pair_sums(x: np.ndarray, scale: float) -> np.ndarray:
+    """Row p's sum of exp(-(x[p, i] - x[p, j])**2 / scale) over i < j.
+
+    Works through the upper triangle one row i at a time, for a block of
+    rows of ``x`` at once, in one buffer of at most _STRIP_ELEMS values.
+    Every row is summed in the same order whatever block it falls in, so
+    equal rows give bit-identical sums.
+    """
+    count, n_s = x.shape
+    block = max(1, _STRIP_ELEMS // (n_s - 1))
+    buf = np.empty(min(block, count) * (n_s - 1))
+    sums = np.zeros(count)
+    for b in range(0, count, block):
+        xb = x[b : b + block]
+        acc = sums[b : b + block]
+        for i in range(n_s - 1):
+            d = buf[: xb.shape[0] * (n_s - 1 - i)].reshape(xb.shape[0], -1)
+            np.subtract(xb[:, i + 1 :], xb[:, i : i + 1], out=d)
+            np.square(d, out=d)
+            np.negative(d, out=d)
+            np.divide(d, scale, out=d)
+            np.exp(d, out=d)
+            acc += d.sum(axis=1)
+    return sums
+
+
+def _mmd2_splits(pooled: np.ndarray, h: float, splits: np.ndarray) -> np.ndarray:
     """Unbiased squared MMD for every split of the pooled sample at once.
 
-    Column p of ``masks`` (n x P, 0/1) marks the members of the smaller
-    sample S under split p; L is the rest. The kernel is walked in strips;
-    each adds to its row sums r and to q = diag(M' K M), the within-S sums
-    including the unit diagonal. With t = r'M and s = sum(r):
-    cross = t - q and the within-L sum = s - 2t + q, so neither the n x n
-    kernel nor the n x P product K M is ever held. Marking the smaller
-    sample keeps the cancellation in both derived sums small.
+    Row p of ``splits`` (P x n_s) holds the sorted positions of the smaller
+    sample S under split p; L is the rest. The kernel is walked in strips,
+    each adding to its row sums r. With q the within-S sum including the
+    unit diagonal, t = sum(r[S]) and s = sum(r): cross = t - q and the
+    within-L sum = s - 2t + q, so the n x n kernel is never held. Marking
+    the smaller sample keeps the cancellation in both derived sums small.
 
     Strip K[start:stop, start:] covers the upper block triangle only (K is
     symmetric) and holds at most _STRIP_ELEMS values. Its entries
     exp(-(x_i - x_j)**2 / (2 h^2)) are formed with the same operations as
-    the dense matrix, so each is bit-identical to it.
+    the dense matrix, so each is bit-identical to it; so are the entries
+    the gather path forms.
+
+    q comes from one of two paths, chosen by ``_gathers``:
+
+    - product: each strip also adds diag(M' K M) for the n x P matrix M of
+      0/1 split indicators, and t = r'M; O(2**20 + n * P) memory.
+    - gather: q = n_s + 2 * (sum of K_ij over i < j in S), from the n_s
+      gathered values of each split (``_within_pair_sums``), and
+      t = sum(r[S]); O(2**20 + n_s * P) memory. Equal splits have equal
+      sorted positions, so their statistics tie exactly.
     """
-    n, splits = masks.shape
-    n_s = int(masks[:, 0].sum())
+    n = pooled.shape[0]
+    count, n_s = splits.shape
     n_l = n - n_s
+    masks = None
+    if not _gathers(n, n_s):
+        masks = np.zeros((n, count))
+        masks[splits, np.arange(count)[:, None]] = 1.0
     rows = max(1, _STRIP_ELEMS // n)
     scale = 2.0 * h * h
     r = np.zeros(n)
-    q = np.zeros(splits)
+    q = np.zeros(count)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         width = stop - start
@@ -268,10 +335,15 @@ def _mmd2_splits(pooled: np.ndarray, h: float, masks: np.ndarray) -> np.ndarray:
         np.exp(strip, out=strip)
         r[start:stop] += strip.sum(axis=1)
         r[stop:] += strip[:, width:].sum(axis=0)
-        # right of the diagonal block, each entry stands for K[i, j] and K[j, i]
-        strip[:, width:] *= 2.0
-        q += np.einsum("ij,ij->j", masks[start:stop], strip @ masks[start:])
-    t = r @ masks
+        if masks is not None:
+            # right of the diagonal block, each entry stands for K[i, j] and K[j, i]
+            strip[:, width:] *= 2.0
+            q += np.einsum("ij,ij->j", masks[start:stop], strip @ masks[start:])
+    if masks is None:
+        q = n_s + 2.0 * _within_pair_sums(pooled[splits], scale)
+        t = r[splits].sum(axis=1)
+    else:
+        t = r @ masks
     cross = t - q
     quad_l = r.sum() - 2.0 * t + q - n_l
     quad_s = q - n_s  # remove the unit diagonal
@@ -300,9 +372,8 @@ def mmd_squared(a, b, bandwidth: float | None = None) -> float:
         raise DimensionMismatchError("both samples need at least 2 observations")
     pooled = np.concatenate([a, b])
     h = _median_bandwidth(pooled) if bandwidth is None else float(bandwidth)
-    masks = np.zeros((n_a + n_b, 1))
-    masks[_smaller_sample(n_a, n_b)] = 1.0
-    return float(_mmd2_splits(pooled, h, masks)[0])
+    observed = np.arange(n_a + n_b)[None, _smaller_sample(n_a, n_b)]
+    return float(_mmd2_splits(pooled, h, observed)[0])
 
 
 def mmd_test(a, b, permutations: int = 500, seed: int = 0) -> MmdReport:
@@ -315,10 +386,10 @@ def mmd_test(a, b, permutations: int = 500, seed: int = 0) -> MmdReport:
     Permutation p takes the first len(a) entries of the p-th
     ``rng.permutation(n)`` as sample A.
 
-    Memory is O(n * (block + permutations)) for n pooled values: the
-    bandwidth comes from a selection on the sorted sample, and the observed
-    split and every permutation are evaluated together while the kernel is
-    formed one strip of at most 2**20 entries at a time (see
+    Memory is O(2**20 + permutations * n_s) for n_s values in the smaller
+    sample: the bandwidth comes from a selection on the sorted sample, and
+    the observed split and every permutation are evaluated together while
+    the kernel is formed one strip of at most 2**20 entries at a time (see
     ``_mmd2_splits``). No n x n array is built.
     """
     a = np.asarray(a, dtype=float).ravel()
@@ -334,19 +405,20 @@ def mmd_test(a, b, permutations: int = 500, seed: int = 0) -> MmdReport:
 
     rng = np.random.default_rng(seed)
     smaller = _smaller_sample(n_a, n_b)
-    # column 0 is the observed split, column p the p-th permutation
-    masks = np.zeros((n, permutations + 1))
-    masks[smaller, 0] = 1.0
-    for col in range(1, permutations + 1):
+    # row 0 is the observed split, row p the p-th permutation
+    splits = np.empty((permutations + 1, min(n_a, n_b)), dtype=np.intp)
+    splits[0] = np.arange(n)[smaller]
+    for row in range(1, permutations + 1):
         perm = rng.permutation(n)
         marked = perm[smaller]
         if n_a == n_b and not (marked == 0).any():
             # a split and its mirror score the same; marking the half that
-            # holds pooled position 0 gives both one column, so they tie
-            # exactly
+            # holds pooled position 0 gives both one row, so they tie exactly
             marked = perm[n_a:]
-        masks[marked, col] = 1.0
-    stats = _mmd2_splits(pooled, h, masks)
+        splits[row] = marked
+    # sorted, equal splits sum their values in the same order
+    splits.sort(axis=1)
+    stats = _mmd2_splits(pooled, h, splits)
     observed = float(stats[0])
     exceed = int(np.count_nonzero(stats[1:] >= observed))
     p = (1 + exceed) / (permutations + 1)

@@ -237,37 +237,49 @@ def _parse_period(raw, schema: PanelSchema, row: int):
 
 
 def _read_cells(source, schema: PanelSchema) -> tuple[dict, dict]:
-    """Outcome and covariate values keyed by (unit, period), one per data row."""
-    reader = csv.DictReader(source)
-    if reader.fieldnames is None:
+    """Outcome and covariate values keyed by (unit, period), one per data row.
+
+    Reads as ``csv.DictReader`` would, by column position: of two
+    same-named columns the last wins, a short row's missing cells read as
+    missing, extra cells are ignored, and blank lines are skipped without
+    counting as rows.
+    """
+    reader = csv.reader(source)
+    header = next(reader, None)
+    if header is None:
         raise PanelParseError("empty CSV: missing header row")
     needed = [schema.unit, schema.period, schema.outcome, *schema.covariates]
-    missing = [c for c in needed if c not in reader.fieldnames]
+    missing = [c for c in needed if c not in header]
     if missing:
         raise PanelParseError(f"missing columns: {', '.join(missing)}")
+    position = {name: i for i, name in enumerate(header)}
+    i_unit, i_period, i_outcome = (position[c] for c in needed[:3])
+    i_covs = [position[c] for c in schema.covariates]
+    width = max(position[c] for c in needed) + 1
 
     cells: dict[tuple[str, object], float] = {}
     covs: dict[tuple[str, object], tuple[float, ...]] = {}
-    for row_no, row in enumerate(reader, start=2):
-        unit = row[schema.unit]
-        period = _parse_period(row[schema.period], schema, row_no)
-        if unit is None or row[schema.outcome] in (None, ""):
+    for row_no, row in enumerate(filter(None, reader), start=2):
+        if len(row) < width:
+            row = row + [None] * (width - len(row))
+        unit = row[i_unit]
+        period = _parse_period(row[i_period], schema, row_no)
+        raw = row[i_outcome]
+        if unit is None or raw in (None, ""):
             raise PanelParseError("incomplete row", row=row_no)
         try:
-            outcome = float(row[schema.outcome])
+            outcome = float(raw)
         except ValueError:
-            raise PanelParseError(
-                f"outcome {row[schema.outcome]!r} is not a number", row=row_no
-            )
+            raise PanelParseError(f"outcome {raw!r} is not a number", row=row_no)
         key = (unit, period)
         if key in cells:
             raise PanelParseError(
                 f"duplicate (unit, period) pair ({unit!r}, {period!r})", row=row_no
             )
         cells[key] = outcome
-        if schema.covariates:
+        if i_covs:
             try:
-                covs[key] = tuple(float(row[c]) for c in schema.covariates)
+                covs[key] = tuple(float(row[i]) for i in i_covs)
             except (TypeError, ValueError):
                 raise PanelParseError("covariate value is not a number", row=row_no)
     return cells, covs

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SingularGramError
+from .errors import BadConfigError, DimensionMismatchError, SingularGramError
 from .moments import MomentSystem
 from .panel import PanelData
 
@@ -80,8 +80,16 @@ class SolveDiagnostics:
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Stopping rule of the simplex solver: a finite ``tol >= 0`` and ``max_iter >= 1``."""
+
     tol: float = 1e-10
     max_iter: int = 100_000
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise BadConfigError(f"solver tol must be finite and >= 0, got {self.tol}")
+        if self.max_iter < 1:
+            raise BadConfigError(f"solver max_iter must be >= 1, got {self.max_iter}")
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:

@@ -507,6 +507,26 @@ def test_inference_mistakes_exit_1_before_any_output(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
+     ("--max-iter", "0"), ("--max-iter", "-5")],
+)
+@pytest.mark.parametrize("command", ["fit", "conformal", "dte"])
+def test_solver_option_mistakes_exit_1_before_any_output(
+    tmp_path, monkeypatch, capsys, command, flag, value
+):
+    # the input does not exist: reading it first would exit with IO_NOT_FOUND
+    monkeypatch.chdir(tmp_path)
+    outputs = INFERENCE_ARGS.get(command, ["--output", "fit.json"])
+    argv = [command, "--input", "missing.csv", "--treated", "treated",
+            "--t0", "10", "--g", "2", flag, value, *outputs]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: BAD_CONFIG: solver ")
+    assert list(tmp_path.iterdir()) == []
+
+
 SIMULATE_DGP = "[dgp]\nj = 3\ng = 2\nt0 = 12\nt1 = 5\nk = 0\n"
 
 

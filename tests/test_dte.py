@@ -9,7 +9,9 @@ import jsonschema
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synthctl import dte
 from synthctl.dte import (
+    _gathers,
     _median_bandwidth,
     bootstrap_counterfactual,
     mmd_squared,
@@ -334,3 +336,89 @@ def test_mmd_test_memory_is_bounded(swap):
         tracemalloc.stop()
     assert peak <= 128 * 2**20
     assert 1.0 / 501 <= report.p_value <= 1.0
+
+
+# The gather path (within-sample pairs of the smaller sample) runs when
+# n_s (n_s - 1) * 100 < n^2; shapes on both sides of that rule.
+@pytest.mark.parametrize(
+    "n_a, n_b, gathers", [(2, 40, True), (50, 1000, True), (60, 500, False)]
+)
+@pytest.mark.parametrize("swap", [False, True])
+def test_mmd_paths_match_dense_reference(n_a, n_b, gathers, swap):
+    assert _gathers(n_a + n_b, min(n_a, n_b)) == gathers
+    for seed in range(3):
+        rng = np.random.default_rng(2000 + seed)
+        a = rng.normal(0.0, 1.0, n_a)
+        b = rng.normal(0.3, 1.2, n_b)
+        if swap:
+            a, b = b, a
+        stats, h = dense_mmd_stats(a, b, 300, seed)
+        p = (1 + np.count_nonzero(stats[1:] >= stats[0])) / 301
+        report = mmd_test(a, b, permutations=300, seed=seed)
+        assert report.bandwidth == h
+        assert report.p_value == p
+        assert report.mmd2 == pytest.approx(stats[0], rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("n_s, n_l, seeds", [(2, 20, 10), (3, 25, 120)])
+@pytest.mark.parametrize("swap", [False, True])
+def test_mmd_gather_path_ties_repeated_splits_with_observed(n_s, n_l, seeds, swap):
+    # 2 of 22 values have 231 possible splits for 500 permutations, so the
+    # observed split recurs; each recurrence must tie with it exactly. With
+    # 3 values the summation order of a split's members matters as well.
+    assert _gathers(n_s + n_l, n_s)
+    rng = np.random.default_rng(7)
+    ties = 0
+    for seed in range(seeds):
+        a, b = rng.normal(0.0, 1.0, n_s), rng.normal(0.5, 1.0, n_l)
+        if swap:
+            a, b = b, a
+        stats, _ = dense_mmd_stats(a, b, 500, seed)
+        ties_included = np.count_nonzero(stats[1:] >= stats[0] - 1e-12)
+        ties += ties_included - np.count_nonzero(stats[1:] > stats[0] + 1e-12)
+        report = mmd_test(a, b, permutations=500, seed=seed)
+        assert report.p_value == (1 + ties_included) / 501
+    assert ties >= 10
+
+
+@pytest.mark.parametrize(
+    "n_a, n_b, gathers",
+    [(100, 2000, True), (6, 10_000, True), (200, 200, False), (500, 500, False)],
+)
+def test_mmd_path_choice(monkeypatch, n_a, n_b, gathers):
+    calls = []
+    within = dte._within_pair_sums
+
+    def spy(x, scale):
+        calls.append(x.shape)
+        return within(x, scale)
+
+    monkeypatch.setattr(dte, "_within_pair_sums", spy)
+    rng = np.random.default_rng(n_a + n_b)
+    mmd_test(rng.normal(0.0, 1.0, n_a), rng.normal(0.0, 1.0, n_b), 20, 0)
+    assert calls == ([(21, min(n_a, n_b))] if gathers else [])
+
+
+@pytest.mark.parametrize("n_a, n_b", [(2, 40), (100, 2000), (2000, 100)])
+def test_mmd_squared_is_gather_path_statistic_bitwise(n_a, n_b):
+    assert _gathers(n_a + n_b, min(n_a, n_b))
+    rng = np.random.default_rng(n_a * n_b)
+    a, b = rng.normal(0.0, 1.0, n_a), rng.normal(0.4, 1.0, n_b)
+    assert mmd_squared(a, b) == mmd_test(a, b, permutations=50, seed=3).mmd2
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_mmd_gather_path_memory(swap):
+    # the n x (P + 1) split indicators alone would take 40 MB here
+    rng = np.random.default_rng(45)
+    a, b = rng.normal(0.0, 1.0, 100), rng.normal(0.2, 1.0, 10_000)
+    if swap:
+        a, b = b, a
+    assert _gathers(10_100, 100)
+    tracemalloc.start()
+    try:
+        mmd_test(a, b, permutations=500, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20

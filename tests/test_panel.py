@@ -108,6 +108,67 @@ def test_duplicate_cell_rejected():
         load_panel(csv_stream(broken), PanelSchema(), treated="A", t0=2)
 
 
+def test_last_of_two_same_named_columns_wins():
+    text = "unit,period,outcome,outcome\n"
+    for unit in ("A", "B"):
+        for period in (1, 2, 3):
+            text += f"{unit},{period},99.0,{period}.5\n"
+    panel = load_panel(csv_stream(text), PanelSchema(), treated="A", t0=2)
+    np.testing.assert_array_equal(panel.treated_outcomes, [1.5, 2.5, 3.5])
+    # a short row lacks the later column: its outcome reads as missing
+    short = text.replace("B,2,99.0,2.5", "B,2,99.0")
+    with pytest.raises(PanelParseError) as err:
+        load_panel(csv_stream(short), PanelSchema(), treated="A", t0=2)
+    assert str(err.value) == "row 6: incomplete row"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty CSV: missing header row"),
+        ("\nunit,period,outcome\nA,1,1.0\n", "missing columns: unit, period, outcome"),
+        ("unit,period\nA,1\n", "missing columns: outcome"),
+        (SIMPLE_CSV.replace("B,2,2.5", "B,2"), "row 7: incomplete row"),
+        (SIMPLE_CSV.replace("B,2,2.5", "B,2,"), "row 7: incomplete row"),
+        (SIMPLE_CSV.replace("B,2,2.5", "B"), "row 7: missing period value"),
+        (SIMPLE_CSV.replace("B,2,2.5", "B,two,2.5"), "row 7: period 'two' is not an integer"),
+    ],
+)
+def test_short_rows_read_missing_cells_as_missing(text, message):
+    with pytest.raises(PanelParseError) as err:
+        load_panel(csv_stream(text), PanelSchema(), treated="A", t0=2)
+    assert str(err.value) == message
+
+
+def test_short_row_misses_its_covariate():
+    text = "unit,period,outcome,x1\n"
+    for unit in ("A", "B"):
+        for period in (1, 2, 3):
+            text += f"{unit},{period},1.0,{period}\n"
+    text = text.replace("B,2,1.0,2", "B,2,1.0")
+    with pytest.raises(PanelParseError) as err:
+        load_panel(csv_stream(text), PanelSchema(covariates=("x1",)), treated="A", t0=2)
+    assert str(err.value) == "row 6: covariate value is not a number"
+
+
+def test_blank_lines_skipped_and_not_counted():
+    spaced = SIMPLE_CSV.replace("\n", "\n\n").replace("A,2,2.0", "\n\nA,2,2.0")
+    panel = load_panel(csv_stream(spaced), PanelSchema(), treated="A", t0=2)
+    expected = load_panel(csv_stream(SIMPLE_CSV), PanelSchema(), treated="A", t0=2)
+    np.testing.assert_array_equal(panel.outcomes, expected.outcomes)
+    broken = spaced.replace("B,2,2.5", "B,2,not-a-number")
+    with pytest.raises(PanelParseError) as err:
+        load_panel(csv_stream(broken), PanelSchema(), treated="A", t0=2)
+    assert str(err.value) == "row 7: outcome 'not-a-number' is not a number"
+
+
+def test_extra_cells_ignored():
+    padded = SIMPLE_CSV.replace("A,1,1.0", "A,1,1.0,extra,7").replace("C,4,2.0", "C,4,2.0,")
+    panel = load_panel(csv_stream(padded), PanelSchema(), treated="A", t0=2)
+    expected = load_panel(csv_stream(SIMPLE_CSV), PanelSchema(), treated="A", t0=2)
+    np.testing.assert_array_equal(panel.outcomes, expected.outcomes)
+
+
 def test_byte_stream_input():
     panel = load_panel(
         io.BytesIO(SIMPLE_CSV.encode()), PanelSchema(), treated="A", t0=2
