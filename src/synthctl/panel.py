@@ -253,9 +253,8 @@ def _read_cells(source, schema: PanelSchema) -> tuple[dict, dict]:
     if missing:
         raise PanelParseError(f"missing columns: {', '.join(missing)}")
     position = {name: i for i, name in enumerate(header)}
-    i_unit, i_period, i_outcome = (position[c] for c in needed[:3])
-    i_covs = [position[c] for c in schema.covariates]
-    width = max(position[c] for c in needed) + 1
+    i_unit, i_period, i_outcome, *i_covs = (position[c] for c in needed)
+    width = max(i_unit, i_period, i_outcome, *i_covs) + 1
 
     cells: dict[tuple[str, object], float] = {}
     covs: dict[tuple[str, object], tuple[float, ...]] = {}
