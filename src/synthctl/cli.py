@@ -1,8 +1,9 @@
 """Command-line front-end: fits, conformal inference, DTE, simulation studies.
 
-Exit codes: 0 on success, 1 on user or input errors (usage mistakes and
-unwritable output paths included), 2 on internal errors. Failures print one
-machine-parseable line to stderr: ``error: CODE: message``.
+Exit codes: 0 on success, 1 on user or input errors (usage mistakes,
+unreadable inputs and unwritable output paths included), 2 on internal
+errors. Failures print one machine-parseable line to stderr:
+``error: CODE: message``.
 Every command that takes --seed is bit-reproducible. ``--threads`` and
 ``SYNTHCTL_THREADS`` are validated but start no thread: work runs serially
 and the output never depends on them.
@@ -26,7 +27,7 @@ from .errors import BadProbError, SynthctlError
 from .estimators import Method, fit_method
 from .moments import MomentConfig
 from .panel import SCHEMA_VERSION, PanelData, PanelSchema, load_panel
-from .seeding import threads_from_env
+from .seeding import derive_seed, threads_from_env
 from .simlab import (
     StudySpec,
     Theorem1Spec,
@@ -96,9 +97,6 @@ def _add_moment_args(p: argparse.ArgumentParser) -> None:
 
 
 def _load_panel_from_args(args) -> PanelData:
-    path = Path(args.input)
-    if not path.exists():
-        raise _CliError("IO_NOT_FOUND", f"input file not found: {path}")
     covariates = tuple(
         c.strip() for c in args.covariate_cols.split(",") if c.strip()
     )
@@ -109,7 +107,9 @@ def _load_panel_from_args(args) -> PanelData:
         covariates=covariates,
         period_type=args.period_type,
     )
-    return load_panel(path, schema, args.treated, args.t0)
+    path = Path(args.input)
+    with _reading(path, "input"):
+        return load_panel(path, schema, args.treated, args.t0)
 
 
 def _moment_config(args) -> MomentConfig:
@@ -130,6 +130,22 @@ def _simplex_method(args, purpose: str) -> Method:
     if not method.simplex:
         raise _CliError("BAD_METHOD", f"{purpose} needs a simplex estimator")
     return method
+
+
+@contextlib.contextmanager
+def _reading(path, kind: str):
+    """Report a failed read of a user's ``kind`` file as a user error, the mirror of ``_writing``.
+
+    A missing file is ``IO_NOT_FOUND``; any other failure to open or read it,
+    bytes that are not UTF-8 included, is ``IO_READ``.
+    """
+    try:
+        yield
+    except FileNotFoundError as exc:
+        raise _CliError("IO_NOT_FOUND", f"{kind} file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise _CliError("IO_READ", f"cannot read {path}: {reason}") from exc
 
 
 @contextlib.contextmanager
@@ -199,6 +215,8 @@ def cmd_conformal(args) -> int:
 def cmd_dte(args) -> int:
     if args.l <= 1:
         raise _CliError("BAD_L", f"need --L > 1, got {args.l}")
+    if args.seed < 0:
+        raise _CliError("BAD_SEED", f"need --seed >= 0, got {args.seed}")
     method = _simplex_method(args, "the counterfactual bootstrap")
     try:
         probs = [float(p) for p in args.probs.split(",") if p.strip()]
@@ -230,8 +248,12 @@ def cmd_dte(args) -> int:
     print("quantiles: " + " ".join(f"{p}:{q:.6f}" for p, q in zip(probs, qs)))
     if args.mmd:
         observed_post = panel.treated_outcomes[panel.t0 :]
+        # the permutations get their own stream, apart from the bootstrap's
         report = mmd_test(
-            observed_post, sample.draws, permutations=args.permutations, seed=args.seed
+            observed_post,
+            sample.draws,
+            permutations=args.permutations,
+            seed=derive_seed(args.seed, 1),
         )
         _write_json(report.to_json_dict(), args.mmd_out)
         print(f"mmd2: {report.mmd2:.6g} p_value: {report.p_value:.6g}")
@@ -287,11 +309,11 @@ _CONFIG_KEYS = {
 
 
 def _study_from_config(path: str) -> dict:
-    if not Path(path).exists():
-        raise _CliError("IO_NOT_FOUND", f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
+        # read_file, unlike read, fails on a file it cannot open
+        with _reading(path, "config"), open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
         sections = {
             name: dict(parser[name]) for name in _CONFIG_KEYS if parser.has_section(name)
         }
@@ -314,6 +336,10 @@ def _study_from_config(path: str) -> dict:
                     "BAD_CONFIG", f"[{name}] {key} = {raw!r} is not a valid value"
                 ) from None
     return values
+
+
+# --preset -> the replication study it starts from; overrides win over it
+_STUDY_PRESETS = {"figure2": figure2_spec, "appendixD": appendix_d_spec, "custom": StudySpec}
 
 
 def cmd_simulate(args) -> int:
@@ -351,13 +377,8 @@ def cmd_simulate(args) -> int:
             seed=overrides.get("base_seed", 0),
             replications=overrides.get("replications", 100),
         )
-    elif args.preset == "figure2":
-        spec = figure2_spec(**overrides)
-    elif args.preset == "appendixD":
-        spec = appendix_d_spec(**overrides)
     else:
-        overrides.setdefault("x_axis", "j")
-        spec = StudySpec(**overrides)
+        spec = _STUDY_PRESETS[args.preset](**overrides)
     out = Path(out_dir)
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)

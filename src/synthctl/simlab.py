@@ -1,8 +1,9 @@
 """Simulation DGPs and replication runners for estimator benchmarking.
 
 The core generator draws each untreated unit's outcome from a per-period
-normal whose mean and variance follow random walks (the variance increment is
-floored so spread never shrinks), covariates from time-invariant normals, and
+normal whose mean and variance follow random walks (the variance is kept at
+or above a positive floor; see ``MixtureDgpConfig``), covariates from
+time-invariant normals, and
 the treated unit from the weight-mixture of the untreated densities, with a
 constant effect added after the intervention. Replication studies sweep the
 number of untreated units and the number of moment orders, record per-fit
@@ -167,7 +168,10 @@ def sample_true_post_mixture(
 
 @dataclass(frozen=True)
 class StudySpec:
-    """A replication study: a (J, G) grid of DGP cells fit by several methods."""
+    """A replication study: a (J, G) grid of DGP cells fit by several methods.
+
+    The defaults are the paper's Figure 2 study. No grid may repeat a value.
+    """
 
     j_values: tuple[int, ...] = (10,)
     g_values: tuple[int, ...] = (2, 5, 10)
@@ -186,7 +190,6 @@ class StudySpec:
     compute_mmd: bool = False
     mmd_draws: int = 500
     base_seed: int = 0
-    x_axis: str = "g"  # which grid variable the figure CSV varies
 
     def __post_init__(self):
         object.__setattr__(
@@ -196,12 +199,15 @@ class StudySpec:
             raise BadConfigError("need at least one replication")
         if not (self.j_values and self.g_values and self.methods):
             raise BadConfigError("need at least one j value, one g value and one method")
+        for name in ("j_values", "g_values", "methods"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                listed = ", ".join(str(getattr(v, "value", v)) for v in values)
+                raise BadConfigError(f"{name} repeats a value: {listed}")
         if self.compute_mmd and not all(m.simplex for m in self.methods):
             raise BadConfigError(
                 "the MMD bootstraps the fitted weights; every method needs simplex weights"
             )
-        if self.x_axis not in ("g", "j"):
-            raise BadConfigError("x_axis must be 'g' or 'j'")
         if self.k == 0 and self.include_covariates:
             # nothing to include when the DGP generates no covariates
             object.__setattr__(self, "include_covariates", False)
@@ -210,6 +216,11 @@ class StudySpec:
             self.dgp_config(j, seed=0)
         for g in self.g_values:
             MomentConfig(g=g, scaling=self.scaling)
+
+    @property
+    def x_axis(self) -> str:
+        """The grid variable the figure CSV varies: G for a single J, else J."""
+        return "g" if len(self.j_values) == 1 else "j"
 
     def dgp_config(self, j: int, seed: int) -> MixtureDgpConfig:
         return MixtureDgpConfig(
@@ -258,6 +269,17 @@ class CellAggregate:
     mmd_median: float | None
 
 
+# the error metrics of a record that each cell summarizes, and the summary
+_METRICS = ("att_error", "mean_att_error", "weight_error")
+_STATS = ("median", "q25", "q75")
+
+
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    """The median, 25% and 75% quantiles, in ``_STATS`` order."""
+    a = np.array(values)
+    return float(np.median(a)), float(np.quantile(a, 0.25)), float(np.quantile(a, 0.75))
+
+
 @dataclass(frozen=True)
 class ReplicationResult:
     spec: StudySpec
@@ -273,20 +295,9 @@ class ReplicationResult:
                     "g": a.g,
                     "method": a.method.value,
                     "n": a.n,
-                    "att_error": {
-                        "median": a.att_error_median,
-                        "q25": a.att_error_q25,
-                        "q75": a.att_error_q75,
-                    },
-                    "mean_att_error": {
-                        "median": a.mean_att_error_median,
-                        "q25": a.mean_att_error_q25,
-                        "q75": a.mean_att_error_q75,
-                    },
-                    "weight_error": {
-                        "median": a.weight_error_median,
-                        "q25": a.weight_error_q25,
-                        "q75": a.weight_error_q75,
+                    **{
+                        name: {stat: getattr(a, f"{name}_{stat}") for stat in _STATS}
+                        for name in _METRICS
                     },
                     "mmd_median": a.mmd_median,
                 }
@@ -434,39 +445,29 @@ def run_replication_study(spec: StudySpec, threads: int = 1) -> ReplicationResul
             f"{failed} of {len(records)} replication fits failed"
         )
 
+    # one pass groups the successful records by cell, in grid order
+    cells: dict[tuple[int, int, Method], list[ReplicationRecord]] = {
+        (j, g, m): [] for j in spec.j_values for g in spec.g_values for m in spec.methods
+    }
+    for r in records:
+        if r.error is None:
+            cells[r.j, r.g, r.method].append(r)
     aggregates = []
-    cells = [(j, g) for j in spec.j_values for g in spec.g_values]
-    for j, g in cells:
-        for method in spec.methods:
-            ok = [
-                r
-                for r in records
-                if r.j == j and r.g == g and r.method == method and r.error is None
-            ]
-            if not ok:
-                continue
-            att = np.array([r.att_error for r in ok])
-            matt = np.array([r.mean_att_error for r in ok])
-            west = np.array([r.weight_error for r in ok])
-            mmds = [r.mmd_to_truth for r in ok if r.mmd_to_truth is not None]
-            aggregates.append(
-                CellAggregate(
-                    j=j,
-                    g=g,
-                    method=method,
-                    n=len(ok),
-                    att_error_median=float(np.median(att)),
-                    att_error_q25=float(np.quantile(att, 0.25)),
-                    att_error_q75=float(np.quantile(att, 0.75)),
-                    mean_att_error_median=float(np.median(matt)),
-                    mean_att_error_q25=float(np.quantile(matt, 0.25)),
-                    mean_att_error_q75=float(np.quantile(matt, 0.75)),
-                    weight_error_median=float(np.median(west)),
-                    weight_error_q25=float(np.quantile(west, 0.25)),
-                    weight_error_q75=float(np.quantile(west, 0.75)),
-                    mmd_median=float(np.median(mmds)) if mmds else None,
-                )
+    for (j, g, method), ok in cells.items():
+        if not ok:
+            continue
+        stats = {
+            f"{name}_{stat}": value
+            for name in _METRICS
+            for stat, value in zip(_STATS, _quartiles([getattr(r, name) for r in ok]))
+        }
+        mmds = [r.mmd_to_truth for r in ok if r.mmd_to_truth is not None]
+        aggregates.append(
+            CellAggregate(
+                j=j, g=g, method=method, n=len(ok), **stats,
+                mmd_median=float(np.median(mmds)) if mmds else None,
             )
+        )
     return ReplicationResult(
         spec=spec, records=records, aggregates=tuple(aggregates)
     )
@@ -593,36 +594,19 @@ def theorem1_experiment(spec: Theorem1Spec) -> dict:
 
 
 def figure2_spec(replications: int = 100, base_seed: int = 0, **overrides) -> StudySpec:
-    """The main simulation grid: J=10, G in {2,5,10}, T0=30, T1=100."""
-    spec = StudySpec(
-        j_values=(10,),
-        g_values=(2, 5, 10),
-        methods=(Method.DMSCM, Method.ABADIE),
-        replications=replications,
-        t0=30,
-        t1=100,
-        k=5,
-        tau=20.0,
-        base_seed=base_seed,
-        x_axis="g",
-    )
-    return replace(spec, **overrides) if overrides else spec
+    """The main simulation grid, ``StudySpec``'s defaults: J=10, G in {2,5,10}, T0=30, T1=100."""
+    return StudySpec(replications=replications, base_seed=base_seed, **overrides)
 
 
 def appendix_d_spec(
     replications: int = 100, base_seed: int = 0, **overrides
 ) -> StudySpec:
     """The varying-J study: error and MMD curves as the donor pool grows."""
-    spec = StudySpec(
-        j_values=(1, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50),
-        g_values=(2, 3, 5, 10),
-        methods=(Method.DMSCM, Method.ABADIE),
-        replications=replications,
-        t0=30,
-        t1=1000,
-        k=5,
-        tau=20.0,
-        base_seed=base_seed,
-        x_axis="j",
+    settings = {
+        "j_values": (1, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50),
+        "g_values": (2, 3, 5, 10),
+        "t1": 1000,
+    }
+    return StudySpec(
+        replications=replications, base_seed=base_seed, **(settings | overrides)
     )
-    return replace(spec, **overrides) if overrides else spec

@@ -95,9 +95,13 @@ class SolverOptions:
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort-based, exact).
 
-    The output has nonnegative entries and sums to exactly 1.0, and feasible
-    inputs are returned unchanged, which makes the projection idempotent at
-    the bit level.
+    The output has nonnegative entries and sums to 1.0 within one unit in the
+    last place: the sum is 1.0, or one of its two neighbouring doubles
+    (``abs(sum - 1) <= 2**-52``). A feasible input (nonnegative, summing to
+    exactly 1.0) is returned unchanged, so an output that sums to exactly
+    1.0 projects to itself bit for bit; one that misses by an ulp moves by
+    at most ``2**-51`` per entry when projected again. Near-simplex inputs
+    miss most often: about 0.8% of N(0, 0.1^2) vectors of 2 to 50 entries.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.shape[0] < 1:
@@ -134,8 +138,11 @@ def _project(v: np.ndarray) -> np.ndarray:
     theta = np.float64(cssv[rho - 1]) / rho
     w = v - theta
     np.maximum(w, 0.0, out=w)
-    # absorb the residual summation error so sum(w) == 1.0 bitwise; w.sum()
-    # stays numpy (pairwise from 8 entries), which defines that sum
+    # absorb the residual summation error into the largest entries that can
+    # take it; w.sum() stays numpy (pairwise from 8 entries), which defines
+    # that sum. A subtraction can round so that the re-summed total misses
+    # 1.0 again, and once every entry has been tried the loop stops one ulp
+    # away: the result sums to 1.0 within an ulp, not always bitwise
     excess = w.sum() - 1.0
     if excess != 0.0:
         for i in np.argsort(w)[::-1]:

@@ -598,3 +598,110 @@ def test_simulate_theorem1_rejects_settings_it_does_not_use(tmp_path, capsys, ex
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: BAD_CONFIG: ")
     assert not out.exists()
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_simulate_matches_golden_outputs(tmp_path):
+    # two J, two G and three methods; abadie's record is reused across G.
+    # The files were recorded before the cells were regrouped in one pass.
+    ini = tmp_path / "study.ini"
+    ini.write_text(
+        "[study]\nmethods = dmscm,abadie,d2mscm\nreplications = 3\nseed = 21\n"
+        "[dgp]\nj = 3,4\ng = 2,3\nt0 = 12\nt1 = 6\nk = 2\ntau = 5.0\n"
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(ini), "--output-dir", str(out)]) == 0
+    for name in ("aggregates.json", "figure.csv"):
+        golden = GOLDEN / "study_2j_2g_3m" / name
+        assert (out / name).read_bytes() == golden.read_bytes(), name
+
+
+def test_simulate_one_j_plots_over_g(tmp_path):
+    out = tmp_path / "out"
+    assert main(["simulate", "--j", "3", "--g", "2,4", "--replications", "2",
+                 "--seed", "0", "--output-dir", str(out)]) == 0
+    rows = (out / "figure.csv").read_text().strip().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["2", "2", "4", "4"]
+
+
+@pytest.mark.parametrize(
+    "extra, config",
+    [
+        (["--j", "3,3"], None),
+        (["--g", "2,4,2"], None),
+        ([], "[study]\nmethods = dmscm, abadie, dmscm\n"),
+        ([], "[study]\nmethods = fp, fp_demeaned\n"),
+    ],
+)
+def test_simulate_rejects_repeated_grid_values(tmp_path, capsys, extra, config):
+    out = tmp_path / "out"
+    argv = ["simulate", "--replications", "1", *extra, "--output-dir", str(out)]
+    if config is not None:
+        ini = tmp_path / "study.ini"
+        ini.write_text(config)
+        argv += ["--config", str(ini)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: BAD_CONFIG: ")
+    assert "repeats a value" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("unreadable", ["directory", "not_utf8"])
+@pytest.mark.parametrize("command", ["fit", "conformal", "dte", "simulate"])
+def test_unreadable_user_file_is_io_read(tmp_path, monkeypatch, capsys, command, unreadable):
+    # a directory, or a file that is not UTF-8, in place of a panel or a config
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    path = tmp_path
+    if unreadable == "not_utf8":
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"unit,period,outcome\ntreated,1,1.0\n\xff,1,2.0\n")
+    path = str(path)
+    if command == "simulate":
+        argv = ["simulate", "--config", path, "--replications", "1",
+                "--output-dir", "out"]
+    else:
+        argv = [command, "--input", path, "--treated", "treated", "--t0", "10",
+                *INFERENCE_ARGS.get(command, ["--output", "fit.json"])]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: IO_READ: cannot read {path}: ")
+    assert list(work.iterdir()) == []
+
+
+def test_dte_negative_seed_exits_1_before_reading(tmp_path, monkeypatch, capsys):
+    # the input does not exist: reading it first would exit with IO_NOT_FOUND
+    monkeypatch.chdir(tmp_path)
+    argv = ["dte", "--input", "missing.csv", "--treated", "treated", "--t0", "10",
+            "--seed", "-1", "--mmd", *INFERENCE_ARGS["dte"]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: BAD_SEED: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dte_mmd_permutations_use_their_own_stream(tmp_path, monkeypatch, capsys):
+    import synthctl.cli as cli
+    from synthctl.seeding import derive_seed
+
+    seeds = {}
+    real_bootstrap, real_mmd = cli.bootstrap_counterfactual, cli.mmd_test
+
+    def bootstrap(panel, weights, l, seed):
+        seeds["bootstrap"] = seed
+        return real_bootstrap(panel, weights, l, seed)
+
+    def mmd(a, b, permutations, seed):
+        seeds["mmd"] = seed
+        return real_mmd(a, b, permutations=permutations, seed=seed)
+
+    monkeypatch.setattr(cli, "bootstrap_counterfactual", bootstrap)
+    monkeypatch.setattr(cli, "mmd_test", mmd)
+    assert main(["dte", "--input", str(DATA / "toy_panel.csv"), "--treated", "treated",
+                 "--t0", "10", "--g", "4", "--L", "50", "--seed", "3", "--mmd",
+                 "--permutations", "9"]) == 0
+    assert seeds == {"bootstrap": 3, "mmd": derive_seed(3, 1)}

@@ -417,3 +417,39 @@ def test_figure2_spec_defaults():
     assert spec.replications == 7
     assert Method.DMSCM in spec.methods and Method.ABADIE in spec.methods
     assert spec.t0 == 30 and spec.t1 == 100 and spec.k == 5
+
+
+def test_figure_axis_follows_the_j_grid():
+    assert StudySpec().x_axis == "g"
+    assert appendix_d_spec(j_values=(5,)).x_axis == "g"
+    assert figure2_spec(j_values=(3, 5)).x_axis == "j"
+
+
+def test_presets_are_overrides_of_the_defaults():
+    assert figure2_spec() == StudySpec()
+    assert figure2_spec(replications=3, base_seed=4, t1=50) == StudySpec(
+        replications=3, base_seed=4, t1=50
+    )
+    # appendixD names only its grids and T1, and an override still wins
+    spec = appendix_d_spec(replications=2, t1=40, g_values=(3,))
+    assert spec == StudySpec(
+        j_values=(1, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50),
+        g_values=(3,),
+        replications=2,
+        t1=40,
+    )
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"j_values": (3, 5, 3)},
+        {"g_values": (2, 2)},
+        {"methods": (Method.DMSCM, Method.ABADIE, Method.DMSCM)},
+        {"methods": ("abadie", Method.ABADIE)},
+    ],
+)
+def test_study_spec_rejects_repeated_grid_values(overrides):
+    # a repeated value would run its cell twice and count each replication twice
+    with pytest.raises(BadConfigError, match="repeats a value"):
+        StudySpec(**overrides)
