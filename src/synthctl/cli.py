@@ -5,8 +5,11 @@ unreadable inputs and unwritable output paths included), 2 on internal
 errors. Failures print one machine-parseable line to stderr:
 ``error: CODE: message``.
 Every command that takes --seed is bit-reproducible. ``--threads`` and
-``SYNTHCTL_THREADS`` are validated but start no thread: work runs serially
-and the output never depends on them.
+``SYNTHCTL_THREADS`` are validated by ``seeding.resolve_threads`` but start
+no thread: work runs serially and the output never depends on them. The
+moment, solver, generator and theorem1 defaults are stated only by the
+objects that own them (``MomentConfig``, ``SolverOptions``,
+``MixtureDgpConfig``, ``Theorem1Spec``); the flags and INI keys read them.
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ from .conformal import confidence_interval, default_grid, save_p_curve
 from .dte import bootstrap_counterfactual, check_probs, mmd_test, quantiles, save_draws
 from .errors import BadProbError, SynthctlError
 from .estimators import Method, fit_method
-from .moments import MomentConfig
+from .moments import SCALINGS, MomentConfig
 from .panel import SCHEMA_VERSION, PanelData, PanelSchema, load_panel
-from .seeding import derive_seed, threads_from_env
+from .seeding import derive_seed, resolve_threads
 from .simlab import (
+    DGP_SETTINGS,
+    MixtureDgpConfig,
     StudySpec,
     Theorem1Spec,
     appendix_d_spec,
@@ -62,12 +67,6 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError("USAGE", message)
 
 
-def _threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    return threads_from_env()
-
-
 def _add_panel_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="long-format CSV panel")
     p.add_argument("--treated", required=True, help="treated unit identifier")
@@ -87,13 +86,11 @@ def _add_moment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--method", choices=sorted(_FIT_METHODS), default="dmscm"
     )
-    p.add_argument("--g", type=int, default=5, help="number of moment orders")
+    p.add_argument("--g", type=int, default=MomentConfig.g, help="number of moment orders")
     p.add_argument("--include-covariates", action="store_true")
-    p.add_argument(
-        "--scaling", choices=("none", "pooled_sd", "max_abs"), default="pooled_sd"
-    )
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=100_000)
+    p.add_argument("--scaling", choices=SCALINGS, default=MomentConfig.scaling)
+    p.add_argument("--tol", type=float, default=SolverOptions.tol)
+    p.add_argument("--max-iter", type=int, default=SolverOptions.max_iter)
 
 
 def _load_panel_from_args(args) -> PanelData:
@@ -187,20 +184,19 @@ def cmd_conformal(args) -> int:
     if (args.grid_min is None) != (args.grid_max is None):
         raise _CliError("BAD_GRID", "give both --grid-min and --grid-max, or neither")
     opts = _solver_options(args)
+    threads = resolve_threads(args.threads)
     panel = _load_panel_from_args(args)
     cfg = _moment_config(args)
+    fit = fit_method(panel, estimator, cfg, opts)
     if args.grid_min is not None:
         grid = np.linspace(args.grid_min, args.grid_max, args.grid_points)
     else:
-        grid = default_grid(panel, estimator, cfg, opts, points=args.grid_points)
-    report = confidence_interval(
-        panel, grid, args.level, estimator, cfg, opts, threads=_threads(args.threads)
-    )
+        grid = default_grid(panel, fit, points=args.grid_points)
+    report = confidence_interval(panel, grid, args.level, estimator, cfg, opts, threads=threads)
     _write_json(report.to_json_dict(), args.output)
     if args.csv:
         with _writing(args.csv):
             save_p_curve(report, args.csv)
-    fit = fit_method(panel, estimator, cfg, opts)
     lo = "-inf" if report.lower is None else f"{report.lower:.6f}"
     hi = "+inf" if report.upper is None else f"{report.upper:.6f}"
     print(f"tau_hat {fit.mean_post_att():.6f} [{lo}, {hi}] @ {args.level}")
@@ -296,14 +292,12 @@ _CONFIG_KEYS = {
     "dgp": {
         "j": ("j_values", _parse_int_list),
         "g": ("g_values", _parse_int_list),
-        "t0": ("t0", int),
-        "t1": ("t1", int),
-        "k": ("k", int),
-        "tau": ("tau", float),
-        "drift_var": ("drift_var", float),
-        "var_floor": ("var_floor", float),
-        "var_floor_mode": ("var_floor_mode", str),
-        "stationary": ("stationary", _parse_bool),
+        # each generator setting parses as the type of its default
+        **{
+            name: (name, _parse_bool if isinstance(default, bool) else type(default))
+            for name in DGP_SETTINGS
+            for default in [getattr(MixtureDgpConfig, name)]
+        },
     },
 }
 
@@ -364,7 +358,7 @@ def cmd_simulate(args) -> int:
     if out_dir is None:
         raise _CliError("BAD_OUTPUT", "--output-dir (or config output_dir) is required")
     # validate the thread count and the spec first: a rejected one leaves no directory
-    threads = _threads(args.threads)
+    threads = resolve_threads(args.threads)
     if args.preset == "theorem1":
         unused = sorted(set(overrides) - {"replications", "base_seed"})
         if unused:
@@ -374,8 +368,7 @@ def cmd_simulate(args) -> int:
                 f"output directory, not {', '.join(unused)}",
             )
         spec = Theorem1Spec(
-            seed=overrides.get("base_seed", 0),
-            replications=overrides.get("replications", 100),
+            **{"seed" if key == "base_seed" else key: v for key, v in overrides.items()}
         )
     else:
         spec = _STUDY_PRESETS[args.preset](**overrides)

@@ -18,10 +18,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadConfigError, DimensionMismatchError
-from .estimators import Method, estimate_weights, fit_method
+from .estimators import FitResult, Method, estimate_weights
 from .moments import MomentConfig
 from .panel import SCHEMA_VERSION, PanelData, open_csv
-from .seeding import threads_from_env
+from .seeding import resolve_threads
 from .solver import SolverOptions
 
 __all__ = [
@@ -122,20 +122,13 @@ def conformal_p_value(
     return float(np.count_nonzero(stats >= stats[0])) / panel.n_periods
 
 
-def default_grid(
-    panel: PanelData,
-    estimator: Method = Method.DMSCM,
-    cfg: MomentConfig = MomentConfig(),
-    opts: SolverOptions = SolverOptions(),
-    points: int = 41,
-    span: float = 5.0,
-) -> np.ndarray:
-    """Grid of candidate constant effects around the point estimate.
+def default_grid(panel: PanelData, fit: FitResult, points: int = 41) -> np.ndarray:
+    """Grid of candidate constant effects around ``fit``'s point estimate.
 
-    Spans the mean post-period effect plus/minus ``span`` pre-period residual
-    standard deviations.
+    ``fit`` is the estimator's fit on ``panel``; the grid reuses it and fits
+    nothing. It spans the mean post-period effect plus/minus five pre-period
+    residual standard deviations.
     """
-    fit = fit_method(panel, estimator, cfg, opts)
     center = fit.mean_post_att()
     pre_resid = (
         panel.treated_outcomes[: panel.t0] - fit.counterfactual[: panel.t0]
@@ -143,7 +136,7 @@ def default_grid(
     sd = float(pre_resid.std())
     if sd == 0.0:
         sd = max(abs(center), 1.0)
-    return np.linspace(center - span * sd, center + span * sd, points)
+    return np.linspace(center - 5.0 * sd, center + 5.0 * sd, points)
 
 
 def confidence_interval(
@@ -161,8 +154,8 @@ def confidence_interval(
     with p-value above ``level``. ``open_lower``/``open_upper`` flag an
     acceptance region touching the grid edge, where the user must widen the
     grid. Grid points are evaluated one after another in grid order.
-    ``threads`` (default: ``SYNTHCTL_THREADS``) is validated but starts no
-    thread and never changes the report.
+    ``threads`` (default: ``SYNTHCTL_THREADS``) is validated by
+    ``resolve_threads`` but starts no thread and never changes the report.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -172,8 +165,7 @@ def confidence_interval(
     if not (0.0 < level < 1.0):
         raise BadConfigError(f"level must lie in (0, 1), got {level}")
 
-    if threads is None:
-        threads_from_env()  # validated only: a bad value is a user error
+    resolve_threads(threads)  # validated only: a bad value is a user error
     p_values = [
         conformal_p_value(panel, NullSpec(alpha), estimator, cfg, opts) for alpha in grid
     ]

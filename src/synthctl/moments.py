@@ -46,6 +46,7 @@ __all__ = [
 SCALING_NONE = "none"
 SCALING_POOLED_SD = "pooled_sd"
 SCALING_MAX_ABS = "max_abs"
+SCALINGS = (SCALING_NONE, SCALING_POOLED_SD, SCALING_MAX_ABS)
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ class MomentConfig:
     def __post_init__(self):
         if self.g < 1:
             raise BadConfigError(f"g must be >= 1, got {self.g}")
-        if self.scaling not in (SCALING_NONE, SCALING_POOLED_SD, SCALING_MAX_ABS):
+        if self.scaling not in SCALINGS:
             raise BadConfigError(f"unknown scaling {self.scaling!r}")
         if isinstance(self.weighting, str) and self.weighting != "identity":
             raise BadConfigError(f"unknown weighting {self.weighting!r}")

@@ -2,13 +2,14 @@
 
 Child seeds are derived from a base seed and a tuple of indices with a
 splitmix64 mix, so stream i is a pure function of ``(base_seed, *indices)``,
-never of execution order. ``threads_from_env`` validates the
-``SYNTHCTL_THREADS`` environment variable, which starts no thread and never
-changes an output.
+never of execution order. ``resolve_threads`` is the one check of a thread
+count, given or read from ``SYNTHCTL_THREADS``; the count starts no thread
+and never changes an output.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 
 from .errors import BadThreadsError
@@ -38,15 +39,19 @@ def derive_seed(base_seed: int, *indices: int) -> int:
     return state
 
 
-def threads_from_env() -> int:
-    """Thread count from ``SYNTHCTL_THREADS``: 1 when unset, at least 1.
+def resolve_threads(value: int | None = None) -> int:
+    """A thread count of at least 1: ``value``, or ``SYNTHCTL_THREADS`` when None.
 
-    A value that is not an integer is a user error (``BAD_THREADS``).
+    An unset ``SYNTHCTL_THREADS`` counts as 1. A value that is not an integer,
+    or a count below 1, is a user error (``BAD_THREADS``).
     """
-    text = os.environ.get("SYNTHCTL_THREADS", "1")
+    source = "threads"
+    if value is None:
+        source, value = "SYNTHCTL_THREADS", os.environ.get("SYNTHCTL_THREADS", "1")
     try:
-        return max(1, int(text))
-    except ValueError:
-        raise BadThreadsError(
-            f"SYNTHCTL_THREADS must be an integer, got {text!r}"
-        ) from None
+        count = int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        raise BadThreadsError(f"{source} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise BadThreadsError(f"{source} must be at least 1, got {count}")
+    return count

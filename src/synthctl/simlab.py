@@ -54,11 +54,12 @@ __all__ = [
 class MixtureDgpConfig:
     """Mixture-panel generator settings.
 
-    Outcome means and variances random-walk over time with increment variance
-    ``drift_var``. The variance walk is kept positive by
-    ``var_floor``: in ``"level"`` mode the variance itself is floored, so it
-    can shrink but never drops below the floor; in ``"increment"`` mode every
-    increment below the floor is replaced by it, so variance never decreases.
+    Initial variances are drawn uniformly from [1, 20). Outcome means and
+    variances random-walk over time with increment variance ``drift_var``.
+    The variance walk is kept positive by ``var_floor``: in ``"level"`` mode
+    the variance itself is floored, so it can shrink but never drops below
+    the floor; in ``"increment"`` mode every increment below the floor is
+    replaced by it, so variance never decreases.
     ``stationary=True`` freezes all parameters at their initial draws, which
     is the regime the consistency and conformal-validity theory assumes.
     """
@@ -68,7 +69,6 @@ class MixtureDgpConfig:
     t1: int = 100
     k: int = 5
     tau: float = 20.0
-    var_init_range: tuple[float, float] = (1.0, 20.0)
     drift_var: float = 10.0
     var_floor: float = 0.1
     var_floor_mode: str = "level"  # "level" | "increment"
@@ -80,8 +80,6 @@ class MixtureDgpConfig:
             raise BadConfigError("need at least one untreated unit")
         if self.t0 < 2 or self.t1 < 1:
             raise BadConfigError("need t0 >= 2 and t1 >= 1")
-        if self.var_init_range[0] <= 0:
-            raise BadConfigError("initial variances must be positive")
         if self.k < 0:
             raise BadConfigError("covariate dimension must be >= 0")
         if self.var_floor_mode not in ("level", "increment"):
@@ -112,7 +110,7 @@ def gen_mixture_dgp(cfg: MixtureDgpConfig) -> tuple[PanelData, DgpTruth]:
     means = np.empty((j, t, coords))
     variances = np.empty((j, t, coords))
     means[:, 0, :] = rng.standard_normal((j, coords))
-    variances[:, 0, :] = rng.uniform(*cfg.var_init_range, size=(j, coords))
+    variances[:, 0, :] = rng.uniform(1.0, 20.0, size=(j, coords))
     # covariate coordinates stay at their initial parameters
     means[:, 1:, :] = means[:, :1, :]
     variances[:, 1:, :] = variances[:, :1, :]
@@ -166,25 +164,32 @@ def sample_true_post_mixture(
     return mu + sd * rng.standard_normal(n)
 
 
+# the generator settings a study passes unchanged to every cell's generator
+DGP_SETTINGS = (
+    "t0", "t1", "k", "tau", "drift_var", "var_floor", "var_floor_mode", "stationary"
+)
+
+
 @dataclass(frozen=True)
 class StudySpec:
     """A replication study: a (J, G) grid of DGP cells fit by several methods.
 
-    The defaults are the paper's Figure 2 study. No grid may repeat a value.
+    The defaults are the paper's Figure 2 study; the ``DGP_SETTINGS`` take
+    theirs from ``MixtureDgpConfig``. No grid may repeat a value.
     """
 
     j_values: tuple[int, ...] = (10,)
     g_values: tuple[int, ...] = (2, 5, 10)
     methods: tuple[Method, ...] = (Method.DMSCM, Method.ABADIE)
     replications: int = 100
-    t0: int = 30
-    t1: int = 100
-    k: int = 5
-    tau: float = 20.0
-    drift_var: float = 10.0
-    var_floor: float = 0.1
-    var_floor_mode: str = "level"
-    stationary: bool = False
+    t0: int = MixtureDgpConfig.t0
+    t1: int = MixtureDgpConfig.t1
+    k: int = MixtureDgpConfig.k
+    tau: float = MixtureDgpConfig.tau
+    drift_var: float = MixtureDgpConfig.drift_var
+    var_floor: float = MixtureDgpConfig.var_floor
+    var_floor_mode: str = MixtureDgpConfig.var_floor_mode
+    stationary: bool = MixtureDgpConfig.stationary
     include_covariates: bool = True
     scaling: str = "max_abs"
     compute_mmd: bool = False
@@ -223,18 +228,8 @@ class StudySpec:
         return "g" if len(self.j_values) == 1 else "j"
 
     def dgp_config(self, j: int, seed: int) -> MixtureDgpConfig:
-        return MixtureDgpConfig(
-            j=j,
-            t0=self.t0,
-            t1=self.t1,
-            k=self.k,
-            tau=self.tau,
-            drift_var=self.drift_var,
-            var_floor=self.var_floor,
-            var_floor_mode=self.var_floor_mode,
-            stationary=self.stationary,
-            seed=seed,
-        )
+        settings = {name: getattr(self, name) for name in DGP_SETTINGS}
+        return MixtureDgpConfig(j=j, seed=seed, **settings)
 
 
 @dataclass(frozen=True)

@@ -396,6 +396,48 @@ def test_simulate_bad_threads_env_leaves_no_directory(tmp_path, monkeypatch, cap
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["conformal", "simulate"])
+@pytest.mark.parametrize(
+    "flags, env",
+    [(["--threads", "0"], None), (["--threads", "-3"], None), ([], "0"), ([], "-2")],
+    ids=["flag-0", "flag-minus-3", "env-0", "env-minus-2"],
+)
+def test_thread_count_below_one_exits_before_any_work(
+    command, flags, env, tmp_path, monkeypatch, capsys
+):
+    if env is not None:
+        monkeypatch.setenv("SYNTHCTL_THREADS", env)
+    if command == "conformal":
+        # the panel does not exist, so BAD_THREADS shows it is never read
+        argv = ["conformal", "--input", str(tmp_path / "missing.csv"),
+                "--treated", "treated", "--t0", "10", "--output", str(tmp_path / "r.json")]
+    else:
+        argv = ["simulate", "--replications", "1", "--j", "3", "--g", "2",
+                "--output-dir", str(tmp_path / "out")]
+    assert main(argv + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: BAD_THREADS: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_conformal_default_grid_fits_once_before_its_refits(monkeypatch, capsys):
+    import synthctl.estimators as estimators
+
+    calls = []
+    solve = estimators.solve_simplex_qp
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "solve_simplex_qp", spy)
+    assert main(["conformal", "--input", str(DATA / "toy_panel.csv"),
+                 "--treated", "treated", "--t0", "10", "--g", "2"]) == 0
+    # one point fit serves the grid and tau_hat; then one refit per grid point
+    assert len(calls) == 1 + 41
+    assert capsys.readouterr().out.startswith("tau_hat ")
+
+
 def test_simulate_config_file_with_flag_override(tmp_path):
     config = tmp_path / "study.ini"
     config.write_text(

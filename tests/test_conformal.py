@@ -15,7 +15,7 @@ from synthctl.conformal import (
     save_p_curve,
 )
 from synthctl.errors import BadConfigError, BadThreadsError
-from synthctl.estimators import Method
+from synthctl.estimators import Method, fit_method
 from synthctl.moments import MomentConfig
 from synthctl.panel import PanelData
 from synthctl.simlab import MixtureDgpConfig, gen_mixture_dgp
@@ -111,6 +111,16 @@ def test_bad_threads_env_is_a_user_error(monkeypatch):
         confidence_interval(panel, [0.0, 1.0], 0.1, Method.DMSCM, MomentConfig(g=2))
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_thread_count_below_one_is_a_user_error(threads):
+    cfg = MixtureDgpConfig(j=3, t0=10, t1=3, k=0, tau=0.0, stationary=True, seed=5)
+    panel, _ = gen_mixture_dgp(cfg)
+    with pytest.raises(BadThreadsError):
+        confidence_interval(
+            panel, [0.0, 1.0], 0.1, Method.DMSCM, MomentConfig(g=2), threads=threads
+        )
+
+
 def test_rotation_statistic_monotone_in_post_block():
     rng = np.random.default_rng(7)
     abs_resid = np.abs(rng.normal(0, 1, 14))
@@ -174,7 +184,7 @@ def test_grid_edge_flags():
     report = confidence_interval(panel, narrow, 0.1, Method.DMSCM, MomentConfig(g=2))
     assert report.open_lower or report.open_upper
 
-    wide = default_grid(panel, Method.DMSCM, MomentConfig(g=2))
+    wide = default_grid(panel, fit_method(panel, Method.DMSCM, MomentConfig(g=2)))
     report = confidence_interval(panel, wide, 0.1, Method.DMSCM, MomentConfig(g=2))
     assert report.lower is not None and report.upper is not None
     assert report.lower <= 0.0 <= report.upper
@@ -183,7 +193,7 @@ def test_grid_edge_flags():
 def test_interval_matches_accepted_grid_points():
     cfg = MixtureDgpConfig(j=5, t0=25, t1=6, k=0, tau=0.0, stationary=True, seed=15)
     panel, _ = gen_mixture_dgp(cfg)
-    grid = default_grid(panel, Method.DMSCM, MomentConfig(g=2), points=21)
+    grid = default_grid(panel, fit_method(panel, Method.DMSCM, MomentConfig(g=2)), points=21)
     report = confidence_interval(panel, grid, 0.1, Method.DMSCM, MomentConfig(g=2))
     accepted = [a for a, p in zip(report.grid, report.p_values) if p > 0.1]
     assert report.lower == min(accepted)
@@ -210,7 +220,8 @@ def test_interval_coverage_under_no_effect():
             j=6, t0=30, t1=10, k=0, tau=0.0, stationary=True, seed=3000 + r
         )
         panel, _ = gen_mixture_dgp(cfg)
-        grid = default_grid(panel, Method.DMSCM, MomentConfig(g=2, scaling="max_abs"))
+        fit = fit_method(panel, Method.DMSCM, MomentConfig(g=2, scaling="max_abs"))
+        grid = default_grid(panel, fit)
         report = confidence_interval(
             panel, grid, 0.10, Method.DMSCM, MomentConfig(g=2, scaling="max_abs")
         )

@@ -22,7 +22,6 @@ import io
 import os
 import shutil
 import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -115,4 +114,4 @@ def record(corpus: Path = CORPUS) -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(record())
+    record()
