@@ -7,16 +7,21 @@ through an explicit 64-bit seed; there is no global RNG state. Independent
 replications must derive distinct child seeds (see ``synthctl.seeding``).
 
 The MMD permutation test never holds an n x n array for n pooled values.
-The median-heuristic bandwidth is an exact selection over the sorted sample,
-bit-identical to the median of the dense pairwise differences. The Gaussian
-kernel is formed one strip of rows at a time (at most 2**20 entries, upper
-block triangle only, since the kernel is symmetric) for its row sums. Each
-of the observed split and the P permutations is the sorted positions of its
-smaller sample, n_s values, and needs in addition the kernel sum within that
-sample, which one of two paths computes:
+It reduces the pooled sample once to its distinct values u with counts c:
+bootstrap draws repeat the values of the post-period panel, so u is often
+far shorter than the sample (24 of 10,006 values in the README example),
+and continuous data simply has len(u) = n. The median-heuristic bandwidth
+is an exact selection over u that counts each pair of values c_a c_b
+times, bit-identical to the median of the dense pairwise differences. The
+Gaussian kernel of u is formed one strip of rows at a time (at most 2**20
+entries, upper block triangle only, since the kernel is symmetric) for its
+count-weighted row sums. Each of the observed split and the P permutations
+is the sorted value indices of its smaller sample, n_s of them, and needs
+in addition the kernel sum within that sample, which one of two paths
+computes:
 
-- the product path multiplies each strip by the n x (P + 1) matrix of 0/1
-  split indicators, about n^2 / 2 multiply-adds per split;
+- the product path multiplies each strip by the len(u) x (P + 1) matrix of
+  per-value split counts, about len(u)^2 / 2 multiply-adds per split;
 - the gather path forms the n_s (n_s - 1) / 2 within-sample kernel entries
   of every split from the gathered values, in blocks of splits that hold at
   most one strip.
@@ -187,69 +192,90 @@ def _count_diffs_le(s, lo, hi, thresholds) -> np.ndarray:
         right = np.where(open_ & ~ok, mid, right)
 
 
-def _kth_pair_diff(s: np.ndarray, k: int) -> float:
-    """The k-th smallest (0-based) of s[b] - s[a] over a < b, for sorted s.
+def _kth_pair_diff(u: np.ndarray, c: np.ndarray, k: int) -> float:
+    """The k-th smallest (0-based) of u[b] - u[a] over a < b, each c[a] c[b] times.
 
-    Row a's candidates are the columns [lo[a], hi[a]). Each round samples
-    the candidates, takes two sampled values that bracket rank k, counts
-    the candidates below and up to each by binary search, and keeps only
-    the ranges that can still hold rank k. Once at most 8n candidates are
-    left they are gathered and partitioned. Every value compared is a
-    difference computed as s[b] - s[a], the same floating-point numbers as
-    |x_i - x_j|, so the result is exact.
+    For sorted distinct values u with counts c. Row a's candidates are the
+    columns [lo[a], hi[a]), and every rank counts a pair c[a] c[b] times.
+    Each round samples the candidates in proportion to those multiplicities,
+    takes two sampled values that bracket rank k, counts the candidates
+    below and up to each by binary search, and keeps only the ranges that
+    can still hold rank k. Once at most 8 len(u) pairs are left they are
+    gathered and selected by their cumulative multiplicity. Every value
+    compared is a difference computed as u[b] - u[a], the same
+    floating-point numbers as |x_i - x_j|, so the result is exact.
     """
-    n = s.shape[0]
-    rows = np.arange(n - 1)
-    lo, hi = rows + 1, np.full(n - 1, n)
+    n = u.shape[0]
+    ca = c[:-1]  # each row's own count
+    cum = np.concatenate(([0], np.cumsum(c)))  # columns [lo, hi) weigh cum[hi] - cum[lo]
+    lo, hi = np.arange(1, n), np.full(n - 1, n)
     rng = np.random.default_rng(0)  # picks pivots only, never the result
-
-    def gather(flat):
-        r = np.searchsorted(ends, flat, side="right")
-        return s[lo[r] + flat - (ends[r] - counts[r])] - s[r]
 
     while True:
         counts = hi - lo
         ends = np.cumsum(counts)
         total = int(ends[-1])
         if total <= 8 * n:
-            return float(np.partition(gather(np.arange(total)), k)[k])
-        sample = np.sort(gather(rng.integers(0, total, _PIVOT_SAMPLE)))
-        centre = int((k + 0.5) / total * _PIVOT_SAMPLE)
+            flat = np.arange(total)
+            r = np.searchsorted(ends, flat, side="right")
+            cols = lo[r] + flat - (ends[r] - counts[r])
+            diffs = u[cols] - u[r]
+            order = np.argsort(diffs)
+            ranks = np.cumsum((ca[r] * c[cols])[order])
+            return float(diffs[order[np.searchsorted(ranks, k, side="right")]])
+        weights = ca * (cum[hi] - cum[lo])
+        wends = np.cumsum(weights)
+        wtotal = int(wends[-1])
+        flat = rng.integers(0, wtotal, _PIVOT_SAMPLE)
+        r = np.searchsorted(wends, flat, side="right")
+        offset = cum[lo[r]] + (flat - (wends[r] - weights[r])) // ca[r]
+        cols = np.searchsorted(cum, offset, side="right") - 1
+        sample = np.sort(u[cols] - u[r])
+        centre = int((k + 0.5) / wtotal * _PIVOT_SAMPLE)
         v_lo = sample[max(centre - _PIVOT_SPREAD, 0)]
         v_hi = sample[min(centre + _PIVOT_SPREAD, _PIVOT_SAMPLE - 1)]
         below_lo, below_hi = np.nextafter([v_lo, v_hi], -np.inf)
-        c = _count_diffs_le(s, lo, hi, [below_lo, v_lo, below_hi, v_hi])
-        lt_lo, le_lo, lt_hi, le_hi = (int(x) for x in c.sum(axis=1))
+        cnt = _count_diffs_le(u, lo, hi, [below_lo, v_lo, below_hi, v_hi])
+        ranked = ca * (cum[lo + cnt] - cum[lo])
+        lt_lo, le_lo, lt_hi, le_hi = (int(x) for x in ranked.sum(axis=1))
         # each branch drops at least one sampled pivot, so the loop ends
         if k < lt_lo:
-            hi = lo + c[0]
+            hi = lo + cnt[0]
         elif k < le_lo:
             return float(v_lo)
         elif k < lt_hi:
-            lo, hi = lo + c[1], lo + c[2]
+            lo, hi = lo + cnt[1], lo + cnt[2]
             k -= le_lo
         elif k < le_hi:
             return float(v_hi)
         else:
-            lo = lo + c[3]
+            lo = lo + cnt[3]
             k -= le_hi
 
 
-def _median_bandwidth(pooled: np.ndarray) -> float:
+def _median_bandwidth(u: np.ndarray, c: np.ndarray) -> float:
     """Median of |x_i - x_j| over pairs i < j, bit for bit as np.median.
 
-    Selection on the sorted sample instead of materialising the n(n-1)/2
-    differences: O(n) memory and O(n log n) time per selection round. Falls
-    back to 1.0 when the median is not positive (constant data) or is NaN.
+    Takes the pooled sample as its sorted distinct values u and their counts
+    c (``np.unique``). The sum(c (c - 1) / 2) pairs within one value are
+    exact zeros and rank first; the rest are selected from the pairs of
+    distinct values, each counted c_a c_b times, instead of materialising
+    the n(n-1)/2 differences: O(len(u)) memory and O(len(u) log len(u))
+    time per selection round. Falls back to 1.0 when the median is not
+    positive (constant data) or is NaN.
     """
-    s = np.sort(pooled)  # NaNs sort last
-    if np.isnan(s[-1]) or s[1] == -np.inf or s[-2] == np.inf:
+    if np.isnan(u[-1]) or (u[0] == -np.inf and c[0] > 1) or (u[-1] == np.inf and c[-1] > 1):
         return 1.0  # a NaN, or inf - inf between repeated infinities: NaN median
-    n = s.shape[0]
+    n = int(c.sum())
     m = n * (n - 1) // 2
-    med = _kth_pair_diff(s, (m - 1) // 2)
+    zeros = int((c * (c - 1) // 2).sum())
+
+    def kth(k: int) -> float:
+        return 0.0 if k < zeros else _kth_pair_diff(u, c, k - zeros)
+
+    med = kth((m - 1) // 2)
     if m % 2 == 0:
-        med = (med + _kth_pair_diff(s, m // 2)) / 2.0
+        med = (med + kth(m // 2)) / 2.0
     return med if med > 0 else 1.0
 
 
@@ -289,63 +315,73 @@ def _within_pair_sums(x: np.ndarray, scale: float) -> np.ndarray:
     return sums
 
 
-def _mmd2_splits(pooled: np.ndarray, h: float, splits: np.ndarray) -> np.ndarray:
+def _mmd2_splits(
+    u: np.ndarray, c: np.ndarray, h: float, splits: np.ndarray
+) -> np.ndarray:
     """Unbiased squared MMD for every split of the pooled sample at once.
 
-    Row p of ``splits`` (P x n_s) holds the sorted positions of the smaller
-    sample S under split p; L is the rest. The kernel is walked in strips,
-    each adding to its row sums r. With q the within-S sum including the
-    unit diagonal, t = sum(r[S]) and s = sum(r): cross = t - q and the
-    within-L sum = s - 2t + q, so the n x n kernel is never held. Marking
-    the smaller sample keeps the cancellation in both derived sums small.
+    The pooled sample is given as its distinct values u with counts c. Row p
+    of ``splits`` (P x n_s) holds the sorted indices into u of the smaller
+    sample S under split p, one per member, so a value held twice appears
+    twice; L is the rest. The kernel K of u is walked in strips, each adding
+    to the row sums r = K c, which every position holding u_a shares. With q
+    the within-S sum including the unit diagonal, t = sum(r[S]) and
+    s = c'r: cross = t - q and the within-L sum = s - 2t + q, so no n x n
+    kernel is ever held. Marking the smaller sample keeps the cancellation in
+    both derived sums small.
 
     Strip K[start:stop, start:] covers the upper block triangle only (K is
     symmetric) and holds at most _STRIP_ELEMS values. Its entries
-    exp(-(x_i - x_j)**2 / (2 h^2)) are formed with the same operations as
+    exp(-(u_a - u_b)**2 / (2 h^2)) are formed with the same operations as
     the dense matrix, so each is bit-identical to it; so are the entries
     the gather path forms.
 
-    q comes from one of two paths, chosen by ``_gathers``:
+    q comes from one of two paths, chosen by ``_gathers`` on the numbers of
+    positions, n and n_s:
 
-    - product: each strip also adds diag(M' K M) for the n x P matrix M of
-      0/1 split indicators, and t = r'M; O(2**20 + n * P) memory.
+    - product: each strip also adds diag(M' K M) for the len(u) x P matrix
+      M of per-value counts of each split, and t = r'M;
+      O(2**20 + len(u) * P) memory.
     - gather: q = n_s + 2 * (sum of K_ij over i < j in S), from the n_s
       gathered values of each split (``_within_pair_sums``), and
-      t = sum(r[S]); O(2**20 + n_s * P) memory. Equal splits have equal
-      sorted positions, so their statistics tie exactly.
+      t = sum(r[S]); O(2**20 + n_s * P) memory. Splits that hold the same
+      values have equal rows, so their statistics tie exactly.
     """
-    n = pooled.shape[0]
+    n_u = u.shape[0]
+    n = int(c.sum())
     count, n_s = splits.shape
     n_l = n - n_s
-    masks = None
+    weights = c.astype(float)
+    members = None
     if not _gathers(n, n_s):
-        masks = np.zeros((n, count))
-        masks[splits, np.arange(count)[:, None]] = 1.0
-    rows = max(1, _STRIP_ELEMS // n)
+        flat = splits * count + np.arange(count)[:, None]
+        members = np.bincount(flat.ravel(), minlength=n_u * count)
+        members = members.reshape(n_u, count).astype(float)
+    rows = max(1, _STRIP_ELEMS // n_u)
     scale = 2.0 * h * h
-    r = np.zeros(n)
+    r = np.zeros(n_u)
     q = np.zeros(count)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
+    for start in range(0, n_u, rows):
+        stop = min(start + rows, n_u)
         width = stop - start
-        strip = pooled[start:stop, None] - pooled[None, start:]
+        strip = u[start:stop, None] - u[None, start:]
         np.square(strip, out=strip)
         np.negative(strip, out=strip)
         np.divide(strip, scale, out=strip)
         np.exp(strip, out=strip)
-        r[start:stop] += strip.sum(axis=1)
-        r[stop:] += strip[:, width:].sum(axis=0)
-        if masks is not None:
-            # right of the diagonal block, each entry stands for K[i, j] and K[j, i]
+        r[start:stop] += strip @ weights[start:]
+        r[stop:] += weights[start:stop] @ strip[:, width:]
+        if members is not None:
+            # right of the diagonal block, each entry stands for K[a, b] and K[b, a]
             strip[:, width:] *= 2.0
-            q += np.einsum("ij,ij->j", masks[start:stop], strip @ masks[start:])
-    if masks is None:
-        q = n_s + 2.0 * _within_pair_sums(pooled[splits], scale)
+            q += np.einsum("ij,ij->j", members[start:stop], strip @ members[start:])
+    if members is None:
+        q = n_s + 2.0 * _within_pair_sums(u[splits], scale)
         t = r[splits].sum(axis=1)
     else:
-        t = r @ masks
+        t = r @ members
     cross = t - q
-    quad_l = r.sum() - 2.0 * t + q - n_l
+    quad_l = weights @ r - 2.0 * t + q - n_l
     quad_s = q - n_s  # remove the unit diagonal
     return (
         quad_s / (n_s * (n_s - 1))
@@ -370,10 +406,10 @@ def mmd_squared(a, b, bandwidth: float | None = None) -> float:
     n_a, n_b = a.shape[0], b.shape[0]
     if n_a < 2 or n_b < 2:
         raise DimensionMismatchError("both samples need at least 2 observations")
-    pooled = np.concatenate([a, b])
-    h = _median_bandwidth(pooled) if bandwidth is None else float(bandwidth)
-    observed = np.arange(n_a + n_b)[None, _smaller_sample(n_a, n_b)]
-    return float(_mmd2_splits(pooled, h, observed)[0])
+    u, at, c = np.unique(np.concatenate([a, b]), return_inverse=True, return_counts=True)
+    h = _median_bandwidth(u, c) if bandwidth is None else float(bandwidth)
+    observed = np.sort(at[_smaller_sample(n_a, n_b)])[None, :]
+    return float(_mmd2_splits(u, c, h, observed)[0])
 
 
 def mmd_test(a, b, permutations: int = 500, seed: int = 0) -> MmdReport:
@@ -386,11 +422,13 @@ def mmd_test(a, b, permutations: int = 500, seed: int = 0) -> MmdReport:
     Permutation p takes the first len(a) entries of the p-th
     ``rng.permutation(n)`` as sample A.
 
-    Memory is O(2**20 + permutations * n_s) for n_s values in the smaller
-    sample: the bandwidth comes from a selection on the sorted sample, and
-    the observed split and every permutation are evaluated together while
-    the kernel is formed one strip of at most 2**20 entries at a time (see
-    ``_mmd2_splits``). No n x n array is built.
+    The pooled sample is reduced once to its distinct values (``np.unique``),
+    and the bandwidth selection and the kernel work on those: bootstrap
+    draws repeat the few values of the post-period panel, so the kernel
+    costs len(u)^2 / 2 entries, not n^2 / 2. Memory is
+    O(2**20 + permutations * n_s) for n_s values in the smaller sample, and
+    O(len(u) * permutations) more where the split statistics come from the
+    strip product (see ``_mmd2_splits``). No n x n array is built.
     """
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
@@ -399,9 +437,9 @@ def mmd_test(a, b, permutations: int = 500, seed: int = 0) -> MmdReport:
         raise DimensionMismatchError("both samples need at least 2 observations")
     if permutations < 1:
         raise DimensionMismatchError("need at least one permutation")
-    pooled = np.concatenate([a, b])
+    u, at, c = np.unique(np.concatenate([a, b]), return_inverse=True, return_counts=True)
     n = n_a + n_b
-    h = _median_bandwidth(pooled)
+    h = _median_bandwidth(u, c)
 
     rng = np.random.default_rng(seed)
     smaller = _smaller_sample(n_a, n_b)
@@ -416,9 +454,11 @@ def mmd_test(a, b, permutations: int = 500, seed: int = 0) -> MmdReport:
             # holds pooled position 0 gives both one row, so they tie exactly
             marked = perm[n_a:]
         splits[row] = marked
-    # sorted, equal splits sum their values in the same order
+    # each member by its value's index, sorted: splits holding the same
+    # values sum them in the same order
+    splits = at[splits]
     splits.sort(axis=1)
-    stats = _mmd2_splits(pooled, h, splits)
+    stats = _mmd2_splits(u, c, h, splits)
     observed = float(stats[0])
     exceed = int(np.count_nonzero(stats[1:] >= observed))
     p = (1 + exceed) / (permutations + 1)

@@ -211,6 +211,11 @@ def dense_median_bandwidth(pooled):
     return med if med > 0 else 1.0
 
 
+def median_bandwidth(pooled):
+    """``_median_bandwidth`` of a raw sample, reduced as ``mmd_test`` reduces it."""
+    return _median_bandwidth(*np.unique(pooled, return_counts=True))
+
+
 def dense_mmd_stats(a, b, permutations, seed):
     """Statistics of the observed split (entry 0) and each permutation."""
     n_a, n_b = a.shape[0], b.shape[0]
@@ -256,29 +261,44 @@ def test_median_bandwidth_matches_dense_small(values):
     pooled = np.array(values)
     with np.errstate(invalid="ignore"):
         expected = dense_median_bandwidth(pooled)
-    assert _median_bandwidth(pooled) == expected
+    assert median_bandwidth(pooled) == expected
 
 
-@pytest.mark.parametrize("n", [17, 18, 200, 201, 1500])
+@pytest.mark.parametrize("n", [17, 18, 200, 201, 1500, 2000])
 def test_median_bandwidth_matches_dense_bitwise(n):
     # sizes past 8n pairs go through the sampled narrowing rounds; draws from
-    # a few values (as bootstrap draws are) leave the median inside a tie
+    # a few values (as bootstrap draws are) leave the median inside a tie,
+    # and 24 values have enough pairs of values for the narrowing rounds too
     rng = np.random.default_rng(n)
     cases = [
         rng.normal(0.0, 3.0, n),
         rng.choice(rng.normal(0.0, 1.0, 9), n),
+        rng.choice(rng.normal(0.0, 1.0, 24), n),
         np.round(rng.normal(-2.0, 1.0, n), 1),
         rng.integers(-3, 3, n).astype(float) * 0.1,
     ]
     for pooled in cases:
-        assert _median_bandwidth(pooled) == dense_median_bandwidth(pooled)
+        assert median_bandwidth(pooled) == dense_median_bandwidth(pooled)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-20, 20), min_size=2, max_size=80), st.floats(1e-3, 1e3))
 def test_median_bandwidth_property(ints, scale):
     pooled = np.array(ints, dtype=float) * scale
-    assert _median_bandwidth(pooled) == dense_median_bandwidth(pooled)
+    assert median_bandwidth(pooled) == dense_median_bandwidth(pooled)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-50, 50), min_size=1, max_size=10, unique=True),
+    st.lists(st.integers(0, 9), min_size=2, max_size=300),
+)
+def test_median_bandwidth_repeats_property(values, picks):
+    # at most 10 distinct values, most of them repeated: the zeros within a
+    # value and the c_a * c_b copies of each difference must rank as np.median
+    # ranks them
+    pooled = np.array([values[i % len(values)] for i in picks], dtype=float) / 7.0
+    assert median_bandwidth(pooled) == dense_median_bandwidth(pooled)
 
 
 @pytest.mark.parametrize(
@@ -422,3 +442,61 @@ def test_mmd_gather_path_memory(swap):
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20
+
+
+# Bootstrap draws repeat the few values of a post-period panel; shapes on
+# both sides of the path rule, with observed values apart from the draws'
+# values and among them.
+@pytest.mark.parametrize(
+    "n_a, n_b, gathers", [(6, 1000, True), (30, 1000, True), (60, 500, False), (6, 6, False)]
+)
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("swap", [False, True])
+def test_mmd_repeated_values_match_dense_reference(n_a, n_b, gathers, shared, swap):
+    assert _gathers(n_a + n_b, min(n_a, n_b)) == gathers
+    ties = 0
+    for seed in range(4):
+        rng = np.random.default_rng(3000 + seed)
+        values = rng.normal(0.0, 1.0, 24)
+        a = rng.choice(values, n_a) if shared else rng.normal(0.3, 1.0, n_a)
+        b = rng.choice(values, n_b)
+        if swap:
+            a, b = b, a
+        stats, h = dense_mmd_stats(a, b, 300, seed)
+        # splits holding the same values tie exactly, so near-ties count
+        ties_included = np.count_nonzero(stats[1:] >= stats[0] - 1e-12)
+        ties += ties_included - np.count_nonzero(stats[1:] > stats[0] + 1e-12)
+        report = mmd_test(a, b, permutations=300, seed=seed)
+        assert report.bandwidth == h
+        assert report.p_value == (1 + ties_included) / 301
+        # the dense statistic sums within the sample it marks, A; marking
+        # the larger sample its own cancellation reaches 2e-14, so mmd2 is
+        # held to the dense statistic that marks the smaller one
+        small_first = sorted((a, b), key=len)
+        mmd2 = dense_mmd_stats(*small_first, 1, seed)[0][0]
+        assert report.mmd2 == pytest.approx(mmd2, rel=1e-12, abs=1e-14)
+        assert mmd_squared(a, b) == pytest.approx(mmd2, rel=1e-12, abs=1e-14)
+    if shared and n_a + n_b == 12:
+        assert ties > 0
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_mmd_memory_grows_only_with_the_draws(swap):
+    # 6 observed values against draws from 24 values: the kernel is 24 x 24,
+    # so what grows with L is the pooled sample's own per-position arrays
+    rng = np.random.default_rng(46)
+    values = rng.normal(0.0, 1.0, 24)
+    peaks = {}
+    for l in (5000, 20_000):
+        a, b = rng.normal(0.3, 1.0, 6), rng.choice(values, l)
+        if swap:
+            a, b = b, a
+        tracemalloc.start()
+        try:
+            mmd_test(a, b, permutations=500, seed=1)
+            _, peaks[l] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    # at most eight arrays of 8 bytes per pooled value, plus a fixed 256 KiB
+    assert peaks[20_000] - peaks[5000] <= 8 * 8 * 15_000
+    assert peaks[20_000] <= 8 * 8 * 20_006 + 2**18
