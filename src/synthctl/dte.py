@@ -391,7 +391,7 @@ def _mmd2_splits(
 
 
 def _smaller_sample(n_a: int, n_b: int) -> slice:
-    """Positions, within a permutation of the pooled sample, of the smaller sample."""
+    """Positions of the smaller sample in the pooled sample, a then b."""
     return slice(0, n_a) if n_a <= n_b else slice(n_a, n_a + n_b)
 
 
@@ -419,8 +419,10 @@ def mmd_test(a, b, permutations: int = 500, seed: int = 0) -> MmdReport:
     on the pooled sample (permutation-invariant, so exchangeability under the
     null is preserved). The p-value is (1 + #{permuted >= observed}) divided
     by (permutations + 1), hence always at least 1/(permutations + 1).
-    Permutation p takes the first len(a) entries of the p-th
-    ``rng.permutation(n)`` as sample A.
+    Permutation p draws the n_s pooled positions of the smaller sample with
+    the p-th ``rng.choice(n, n_s, replace=False)``; the rest form the larger
+    sample. When both samples have n_s values, the drawn half or its mirror
+    is marked, whichever holds pooled position 0 (the two are one split).
 
     The pooled sample is reduced once to its distinct values (``np.unique``),
     and the bandwidth selection and the kernel work on those: bootstrap
@@ -442,17 +444,18 @@ def mmd_test(a, b, permutations: int = 500, seed: int = 0) -> MmdReport:
     h = _median_bandwidth(u, c)
 
     rng = np.random.default_rng(seed)
-    smaller = _smaller_sample(n_a, n_b)
+    n_s = min(n_a, n_b)
     # row 0 is the observed split, row p the p-th permutation
-    splits = np.empty((permutations + 1, min(n_a, n_b)), dtype=np.intp)
-    splits[0] = np.arange(n)[smaller]
+    splits = np.empty((permutations + 1, n_s), dtype=np.intp)
+    splits[0] = np.arange(n)[_smaller_sample(n_a, n_b)]
     for row in range(1, permutations + 1):
-        perm = rng.permutation(n)
-        marked = perm[smaller]
+        marked = rng.choice(n, n_s, replace=False)
         if n_a == n_b and not (marked == 0).any():
             # a split and its mirror score the same; marking the half that
             # holds pooled position 0 gives both one row, so they tie exactly
-            marked = perm[n_a:]
+            rest = np.ones(n, dtype=bool)
+            rest[marked] = False
+            marked = np.flatnonzero(rest)
         splits[row] = marked
     # each member by its value's index, sorted: splits holding the same
     # values sum them in the same order

@@ -227,7 +227,13 @@ def dense_mmd_stats(a, b, permutations, seed):
     masks = np.zeros((n, permutations + 1))
     masks[:n_a, 0] = 1.0
     for col in range(1, permutations + 1):
-        masks[rng.permutation(n)[:n_a], col] = 1.0
+        # each permutation draws the positions of the smaller sample
+        drawn = rng.choice(n, min(n_a, n_b), replace=False)
+        if n_a <= n_b:
+            masks[drawn, col] = 1.0
+        else:
+            masks[:, col] = 1.0
+            masks[drawn, col] = 0.0
     kz = kernel @ masks
     zb = 1.0 - masks
     kzb = kernel.sum(axis=1)[:, None] - kz
