@@ -9,7 +9,10 @@ Every command that takes --seed is bit-reproducible. ``--threads`` and
 no thread: work runs serially and the output never depends on them. The
 moment, solver, generator and theorem1 defaults are stated only by the
 objects that own them (``MomentConfig``, ``SolverOptions``,
-``MixtureDgpConfig``, ``Theorem1Spec``); the flags and INI keys read them.
+``MixtureDgpConfig``, ``Theorem1Spec``), and the grid size, permutation
+count and method defaults only by the functions that take them
+(``default_grid``, ``mmd_test``, ``confidence_interval``); the flags and
+INI keys read them.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import argparse
 import configparser
 import contextlib
 import functools
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -82,9 +86,16 @@ def _add_panel_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--period-type", choices=("int", "str"), default="int")
 
 
+def _default(func, name: str):
+    """The default value of ``func``'s parameter ``name``."""
+    return inspect.signature(func).parameters[name].default
+
+
 def _add_moment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--method", choices=sorted(_FIT_METHODS), default="dmscm"
+        "--method",
+        choices=sorted(_FIT_METHODS),
+        default=_default(confidence_interval, "estimator").value,
     )
     p.add_argument("--g", type=int, default=MomentConfig.g, help="number of moment orders")
     p.add_argument("--include-covariates", action="store_true")
@@ -418,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conf.add_argument("--level", type=float, default=0.10)
     p_conf.add_argument("--grid-min", type=float)
     p_conf.add_argument("--grid-max", type=float)
-    p_conf.add_argument("--grid-points", type=int, default=41)
+    p_conf.add_argument("--grid-points", type=int, default=_default(default_grid, "points"))
     p_conf.add_argument(
         "--threads", type=int, help="validated only: work runs serially, output never changes"
     )
@@ -436,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dte.add_argument("--output", help="write the quantiles JSON here")
     p_dte.add_argument("--mmd", action="store_true",
                        help="test observed treated post outcomes against the draws")
-    p_dte.add_argument("--permutations", type=int, default=500)
+    p_dte.add_argument("--permutations", type=int, default=_default(mmd_test, "permutations"))
     p_dte.add_argument("--mmd-out", help="write the MMD report JSON here")
     p_dte.set_defaults(func=cmd_dte)
 

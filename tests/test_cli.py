@@ -1,3 +1,4 @@
+import inspect
 import json
 from pathlib import Path
 
@@ -7,6 +8,9 @@ import pytest
 import jsonschema
 
 from synthctl.cli import build_parser, main
+from synthctl.conformal import confidence_interval, default_grid
+from synthctl.dte import mmd_test
+from synthctl.estimators import Method
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SCHEMAS = Path(__file__).resolve().parent.parent / "src" / "synthctl" / "schemas"
@@ -128,6 +132,32 @@ def test_repeated_main_calls_see_only_their_own_argv(tmp_path, capsys):
     assert "usage: synthctl fit" in capsys.readouterr().out
     assert fit("again.json") == first
     assert build_parser() is not build_parser()
+
+
+_PANEL_ARGS = ["--input", "x.csv", "--treated", "t", "--t0", "3"]
+
+
+@pytest.mark.parametrize(
+    "command, dest, owner, param, value",
+    [
+        ("conformal", "grid_points", default_grid, "points", 17),
+        ("dte", "permutations", mmd_test, "permutations", 99),
+        ("fit", "method", confidence_interval, "estimator", Method.ABADIE),
+        ("conformal", "method", confidence_interval, "estimator", Method.ABADIE),
+        ("dte", "method", confidence_interval, "estimator", Method.ABADIE),
+    ],
+)
+def test_parser_defaults_are_the_library_defaults(command, dest, owner, param, value, monkeypatch):
+    def parsed():
+        return getattr(build_parser().parse_args([command, *_PANEL_ARGS]), dest)
+
+    library = inspect.signature(owner).parameters[param].default
+    assert parsed() == library
+    # the flag follows its owner: a changed library default changes the flag's
+    # (each owner's first default is the one its flag reads)
+    assert owner.__defaults__[0] is library
+    monkeypatch.setattr(owner, "__defaults__", (value, *owner.__defaults__[1:]))
+    assert parsed() == value
 
 
 def test_fit_propagates_panel_errors(capsys):
