@@ -94,6 +94,20 @@ def test_running_product_matches_pow_reference(scaling, builder, seed):
     np.testing.assert_array_equal(got[:2], ref[:2])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 700), st.integers(1, 8))
+def test_scale_is_numpy_std_and_max_bitwise(seed, t0, j):
+    # the scales reuse the build's work buffer; numpy's own std and max
+    # over the pre-period window (a strided view) are the reference
+    rng = np.random.default_rng(seed)
+    outcomes = rng.normal(rng.uniform(-100, 100), rng.uniform(0.01, 100), (j + 1, t0 + 3))
+    panel = panel_from(outcomes[0], list(outcomes[1:]), t0=t0)
+    pre = outcomes[:, :t0]
+    assert build_system(panel, MomentConfig(g=3)).scale == float(pre.std())
+    max_abs = build_system(panel, MomentConfig(g=3, scaling="max_abs")).scale
+    assert max_abs == float(np.abs(pre).max())
+
+
 def test_magnitude_20_does_not_overflow_at_g100():
     # 20^100 ~ 1.3e130 is large but still finite in a double
     vals = 20.0 - np.arange(6) * 0.1
