@@ -449,14 +449,14 @@ def mmd_test(a, b, permutations: int = 500, seed: int = 0) -> MmdReport:
     splits = np.empty((permutations + 1, n_s), dtype=np.intp)
     splits[0] = np.arange(n)[_smaller_sample(n_a, n_b)]
     for row in range(1, permutations + 1):
-        marked = rng.choice(n, n_s, replace=False)
-        if n_a == n_b and not (marked == 0).any():
-            # a split and its mirror score the same; marking the half that
-            # holds pooled position 0 gives both one row, so they tie exactly
-            rest = np.ones(n, dtype=bool)
-            rest[marked] = False
-            marked = np.flatnonzero(rest)
-        splits[row] = marked
+        splits[row] = rng.choice(n, n_s, replace=False)
+    if n_a == n_b:
+        # a split and its mirror score the same; marking the half that holds
+        # pooled position 0 gives both one row, so they tie exactly
+        mirror = np.flatnonzero(~(splits == 0).any(axis=1))
+        rest = np.ones((mirror.shape[0], n), dtype=bool)
+        rest[np.arange(mirror.shape[0])[:, None], splits[mirror]] = False
+        splits[mirror] = np.nonzero(rest)[1].reshape(-1, n_s)
     # each member by its value's index, sorted: splits holding the same
     # values sum them in the same order
     splits = at[splits]
