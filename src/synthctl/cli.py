@@ -4,15 +4,12 @@ Exit codes: 0 on success, 1 on user or input errors (usage mistakes,
 unreadable inputs and unwritable output paths included), 2 on internal
 errors. Failures print one machine-parseable line to stderr:
 ``error: CODE: message``.
-Every command that takes --seed is bit-reproducible. ``--threads`` and
-``SYNTHCTL_THREADS`` are validated by ``seeding.resolve_threads`` but start
-no thread: work runs serially and the output never depends on them. The
-moment, solver, generator and theorem1 defaults are stated only by the
-objects that own them (``MomentConfig``, ``SolverOptions``,
-``MixtureDgpConfig``, ``Theorem1Spec``), and the grid size, permutation
-count and method defaults only by the functions that take them
-(``default_grid``, ``mmd_test``, ``confidence_interval``); the flags and
-INI keys read them.
+Every command that takes --seed is bit-reproducible. The moment, solver,
+generator and theorem1 defaults are stated only by the objects that own
+them (``MomentConfig``, ``SolverOptions``, ``MixtureDgpConfig``,
+``Theorem1Spec``), and the grid size, permutation count and method defaults
+only by the functions that take them (``default_grid``, ``mmd_test``,
+``confidence_interval``); the flags and INI keys read them.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from .errors import BadProbError, SynthctlError
 from .estimators import Method, fit_method
 from .moments import SCALINGS, MomentConfig
 from .panel import SCHEMA_VERSION, PanelData, PanelSchema, load_panel
-from .seeding import derive_seed, resolve_threads
+from .seeding import derive_seed
 from .simlab import (
     DGP_SETTINGS,
     MixtureDgpConfig,
@@ -195,7 +192,6 @@ def cmd_conformal(args) -> int:
     if (args.grid_min is None) != (args.grid_max is None):
         raise _CliError("BAD_GRID", "give both --grid-min and --grid-max, or neither")
     opts = _solver_options(args)
-    threads = resolve_threads(args.threads)
     panel = _load_panel_from_args(args)
     cfg = _moment_config(args)
     fit = fit_method(panel, estimator, cfg, opts)
@@ -203,7 +199,7 @@ def cmd_conformal(args) -> int:
         grid = np.linspace(args.grid_min, args.grid_max, args.grid_points)
     else:
         grid = default_grid(panel, fit, points=args.grid_points)
-    report = confidence_interval(panel, grid, args.level, estimator, cfg, opts, threads=threads)
+    report = confidence_interval(panel, grid, args.level, estimator, cfg, opts)
     _write_json(report.to_json_dict(), args.output)
     if args.csv:
         with _writing(args.csv):
@@ -368,8 +364,7 @@ def cmd_simulate(args) -> int:
         out_dir = args.output_dir
     if out_dir is None:
         raise _CliError("BAD_OUTPUT", "--output-dir (or config output_dir) is required")
-    # validate the thread count and the spec first: a rejected one leaves no directory
-    threads = resolve_threads(args.threads)
+    # validate the spec first: a rejected one leaves no directory
     if args.preset == "theorem1":
         unused = sorted(set(overrides) - {"replications", "base_seed"})
         if unused:
@@ -397,7 +392,7 @@ def cmd_simulate(args) -> int:
         )
         return 0
 
-    result = run_replication_study(spec, threads=threads)
+    result = run_replication_study(spec)
     with _writing(out / "records.csv"):
         result.save_records_csv(out / "records.csv")
     _write_json(result.aggregates_json_dict(), out / "aggregates.json")
@@ -430,9 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_conf.add_argument("--grid-min", type=float)
     p_conf.add_argument("--grid-max", type=float)
     p_conf.add_argument("--grid-points", type=int, default=_default(default_grid, "points"))
-    p_conf.add_argument(
-        "--threads", type=int, help="validated only: work runs serially, output never changes"
-    )
     p_conf.add_argument("--output", help="write the report JSON here")
     p_conf.add_argument("--csv", help="write the (alpha, p) curve CSV here")
     p_conf.set_defaults(func=cmd_conformal)
@@ -462,9 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--j", help="comma-separated untreated-unit counts")
     p_sim.add_argument("--g", help="comma-separated moment-order counts")
     p_sim.add_argument("--mmd", action="store_true", help="record MMD to the truth")
-    p_sim.add_argument(
-        "--threads", type=int, help="validated only: work runs serially, output never changes"
-    )
     p_sim.add_argument("--output-dir")
     p_sim.set_defaults(func=cmd_simulate)
     return parser

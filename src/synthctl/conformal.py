@@ -21,7 +21,6 @@ from .errors import BadConfigError, DimensionMismatchError
 from .estimators import FitResult, Method, estimate_weights
 from .moments import MomentConfig
 from .panel import SCHEMA_VERSION, PanelData, open_csv
-from .seeding import resolve_threads
 from .solver import SolverOptions
 
 __all__ = [
@@ -146,7 +145,6 @@ def confidence_interval(
     estimator: Method = Method.DMSCM,
     cfg: MomentConfig = MomentConfig(),
     opts: SolverOptions = SolverOptions(),
-    threads: int | None = None,
 ) -> ConformalReport:
     """Invert the conformal test over a grid of constant nulls.
 
@@ -154,8 +152,6 @@ def confidence_interval(
     with p-value above ``level``. ``open_lower``/``open_upper`` flag an
     acceptance region touching the grid edge, where the user must widen the
     grid. Grid points are evaluated one after another in grid order.
-    ``threads`` (default: ``SYNTHCTL_THREADS``) is validated by
-    ``resolve_threads`` but starts no thread and never changes the report.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -165,7 +161,6 @@ def confidence_interval(
     if not (0.0 < level < 1.0):
         raise BadConfigError(f"level must lie in (0, 1), got {level}")
 
-    resolve_threads(threads)  # validated only: a bad value is a user error
     p_values = [
         conformal_p_value(panel, NullSpec(alpha), estimator, cfg, opts) for alpha in grid
     ]

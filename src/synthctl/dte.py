@@ -399,7 +399,12 @@ def mmd_squared(a, b, bandwidth: float | None = None) -> float:
     """Unbiased squared-MMD estimate with a Gaussian kernel (no test).
 
     The bandwidth defaults to the median pairwise distance of the pooled
-    sample. Computed by the same blocked routine as ``mmd_test``.
+    sample. Computed by ``_mmd2_splits`` like ``mmd_test``'s statistic, but
+    for the observed split alone. On the gather path (see ``_gathers``) each
+    split is summed on its own, so the result equals ``mmd_test``'s ``mmd2``
+    bit for bit. On the product path the strip product with one split column
+    rounds differently than with ``mmd_test``'s permutations + 1 columns, so
+    the two can differ in the last bits (a few 1e-15 absolute).
     """
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()

@@ -73,7 +73,3 @@ class EmptyPostError(SynthctlError):
 
 class BadProbError(SynthctlError):
     code = "BAD_PROB"
-
-
-class BadThreadsError(SynthctlError):
-    code = "BAD_THREADS"

@@ -83,7 +83,7 @@ def _default_labels(n_periods: int) -> tuple[int, ...]:
 class PanelData:
     """A (J+1) x T outcome panel with the treated unit at row 0.
 
-    Immutable after construction; safe for concurrent reads.
+    Immutable after construction.
     """
 
     units: tuple[str, ...]

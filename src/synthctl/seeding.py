@@ -2,17 +2,10 @@
 
 Child seeds are derived from a base seed and a tuple of indices with a
 splitmix64 mix, so stream i is a pure function of ``(base_seed, *indices)``,
-never of execution order. ``resolve_threads`` is the one check of a thread
-count, given or read from ``SYNTHCTL_THREADS``; the count starts no thread
-and never changes an output.
+never of execution order.
 """
 
 from __future__ import annotations
-
-import operator
-import os
-
-from .errors import BadThreadsError
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -37,21 +30,3 @@ def derive_seed(base_seed: int, *indices: int) -> int:
     for ix in indices:
         state = splitmix64(state ^ ((ix + 1) * _GOLDEN & _MASK64))
     return state
-
-
-def resolve_threads(value: int | None = None) -> int:
-    """A thread count of at least 1: ``value``, or ``SYNTHCTL_THREADS`` when None.
-
-    An unset ``SYNTHCTL_THREADS`` counts as 1. A value that is not an integer,
-    or a count below 1, is a user error (``BAD_THREADS``).
-    """
-    source = "threads"
-    if value is None:
-        source, value = "SYNTHCTL_THREADS", os.environ.get("SYNTHCTL_THREADS", "1")
-    try:
-        count = int(value) if isinstance(value, str) else operator.index(value)
-    except (TypeError, ValueError):
-        raise BadThreadsError(f"{source} must be an integer, got {value!r}") from None
-    if count < 1:
-        raise BadThreadsError(f"{source} must be at least 1, got {count}")
-    return count

@@ -419,13 +419,12 @@ def _run_replication(
     return records
 
 
-def run_replication_study(spec: StudySpec, threads: int = 1) -> ReplicationResult:
+def run_replication_study(spec: StudySpec) -> ReplicationResult:
     """Run the full replication grid and aggregate the error records.
 
-    Replications run one after another. ``threads`` is accepted for
-    compatibility; it starts no thread and never changes the result.
-    Individual replication failures are recorded, not fatal; the study raises
-    only when more than 10% of its records carry an error.
+    Replications run one after another. Individual replication failures are
+    recorded, not fatal; the study raises only when more than 10% of its
+    records carry an error.
     """
     chunks = [
         _run_replication(spec, j_index, j, r)

@@ -352,7 +352,7 @@ def test_criterion_8_property_suites():
         j_values=(3,), g_values=(2,), replications=2, t0=10, t1=4, k=0, base_seed=61
     )
     r1 = run_replication_study(spec)
-    r2 = run_replication_study(spec, threads=3)
+    r2 = run_replication_study(spec)
     buf1, buf2 = io.StringIO(), io.StringIO()
     r1.save_records_csv(buf1)
     r2.save_records_csv(buf2)

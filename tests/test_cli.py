@@ -106,6 +106,22 @@ def test_usage_errors_exit_1(argv, capsys):
     assert sum(line.startswith("error: ") for line in err) == 1
 
 
+@pytest.mark.parametrize("command", ["conformal", "simulate"])
+def test_threads_is_an_unknown_flag(command, tmp_path, capsys):
+    out_dir = tmp_path / "D"
+    if command == "conformal":
+        argv = ["conformal", "--input", str(DATA / "toy_panel.csv"), "--treated", "treated",
+                "--t0", "10", "--g", "2", "--output", str(out_dir / "report.json")]
+    else:
+        argv = ["simulate", "--replications", "1", "--j", "3", "--g", "2",
+                "--output-dir", str(out_dir)]
+    assert main(argv + ["--threads", "2"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("error: USAGE: ") and "--threads" in err[-1]
+    assert sum(line.startswith("error: ") for line in err) == 1
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"]])
 def test_help_exits_0(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -211,21 +227,6 @@ def test_conformal_bad_level(capsys):
     )
     assert code == 1
     assert "BAD_LEVEL" in capsys.readouterr().err
-
-
-def test_conformal_bad_threads_env(monkeypatch, capsys):
-    monkeypatch.setenv("SYNTHCTL_THREADS", "abc")
-    code = main(
-        [
-            "conformal",
-            "--input", str(DATA / "toy_panel.csv"),
-            "--treated", "treated",
-            "--t0", "10",
-            "--g", "2",
-        ]
-    )
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error: BAD_THREADS: ")
 
 
 def test_conformal_warns_on_grid_edge(tmp_path, capsys):
@@ -394,60 +395,6 @@ def test_simulate_seed_reproducible(tmp_path):
         dirs.append(out_dir)
     assert (dirs[0] / "records.csv").read_text() == (dirs[1] / "records.csv").read_text()
     assert (dirs[0] / "aggregates.json").read_text() == (dirs[1] / "aggregates.json").read_text()
-
-
-def test_simulate_threads_do_not_change_results(tmp_path, monkeypatch):
-    out_a = tmp_path / "serial"
-    out_b = tmp_path / "threaded"
-    base = ["simulate", "--replications", "2", "--j", "3", "--g", "2", "--seed", "4"]
-    assert main(base + ["--threads", "1", "--output-dir", str(out_a)]) == 0
-    monkeypatch.setenv("SYNTHCTL_THREADS", "4")
-    assert main(base + ["--output-dir", str(out_b)]) == 0
-    assert (out_a / "records.csv").read_text() == (out_b / "records.csv").read_text()
-
-
-def test_simulate_bad_threads_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SYNTHCTL_THREADS", "abc")
-    code = main(
-        ["simulate", "--replications", "1", "--j", "3", "--g", "2",
-         "--output-dir", str(tmp_path)]
-    )
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error: BAD_THREADS: ")
-
-
-def test_simulate_bad_threads_env_leaves_no_directory(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SYNTHCTL_THREADS", "abc")
-    out_dir = tmp_path / "X"
-    code = main(["simulate", "--preset", "figure2", "--replications", "1",
-                 "--output-dir", str(out_dir)])
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error: BAD_THREADS: ")
-    assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("command", ["conformal", "simulate"])
-@pytest.mark.parametrize(
-    "flags, env",
-    [(["--threads", "0"], None), (["--threads", "-3"], None), ([], "0"), ([], "-2")],
-    ids=["flag-0", "flag-minus-3", "env-0", "env-minus-2"],
-)
-def test_thread_count_below_one_exits_before_any_work(
-    command, flags, env, tmp_path, monkeypatch, capsys
-):
-    if env is not None:
-        monkeypatch.setenv("SYNTHCTL_THREADS", env)
-    if command == "conformal":
-        # the panel does not exist, so BAD_THREADS shows it is never read
-        argv = ["conformal", "--input", str(tmp_path / "missing.csv"),
-                "--treated", "treated", "--t0", "10", "--output", str(tmp_path / "r.json")]
-    else:
-        argv = ["simulate", "--replications", "1", "--j", "3", "--g", "2",
-                "--output-dir", str(tmp_path / "out")]
-    assert main(argv + flags) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: BAD_THREADS: ") and err.count("\n") == 1
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_conformal_default_grid_fits_once_before_its_refits(monkeypatch, capsys):

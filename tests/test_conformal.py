@@ -14,7 +14,7 @@ from synthctl.conformal import (
     default_grid,
     save_p_curve,
 )
-from synthctl.errors import BadConfigError, BadThreadsError
+from synthctl.errors import BadConfigError
 from synthctl.estimators import Method, fit_method
 from synthctl.moments import MomentConfig
 from synthctl.panel import PanelData
@@ -103,24 +103,6 @@ def test_rotation_statistics_bitwise_equal_to_loop():
             )
 
 
-def test_bad_threads_env_is_a_user_error(monkeypatch):
-    cfg = MixtureDgpConfig(j=3, t0=10, t1=3, k=0, tau=0.0, stationary=True, seed=5)
-    panel, _ = gen_mixture_dgp(cfg)
-    monkeypatch.setenv("SYNTHCTL_THREADS", "abc")
-    with pytest.raises(BadThreadsError):
-        confidence_interval(panel, [0.0, 1.0], 0.1, Method.DMSCM, MomentConfig(g=2))
-
-
-@pytest.mark.parametrize("threads", [0, -3])
-def test_thread_count_below_one_is_a_user_error(threads):
-    cfg = MixtureDgpConfig(j=3, t0=10, t1=3, k=0, tau=0.0, stationary=True, seed=5)
-    panel, _ = gen_mixture_dgp(cfg)
-    with pytest.raises(BadThreadsError):
-        confidence_interval(
-            panel, [0.0, 1.0], 0.1, Method.DMSCM, MomentConfig(g=2), threads=threads
-        )
-
-
 def test_rotation_statistic_monotone_in_post_block():
     rng = np.random.default_rng(7)
     abs_resid = np.abs(rng.normal(0, 1, 14))
@@ -141,16 +123,6 @@ def test_determinism():
     r1 = confidence_interval(panel, grid, 0.1, Method.DMSCM, MomentConfig(g=2))
     r2 = confidence_interval(panel, grid, 0.1, Method.DMSCM, MomentConfig(g=2))
     assert r1 == r2
-
-
-def test_threaded_grid_matches_serial():
-    cfg = MixtureDgpConfig(j=4, t0=15, t1=5, k=0, tau=0.0, stationary=True, seed=10)
-    panel, _ = gen_mixture_dgp(cfg)
-    grid = np.linspace(-4, 4, 13)
-    serial = confidence_interval(panel, grid, 0.1, Method.DMSCM, MomentConfig(g=2), threads=1)
-    threaded = confidence_interval(panel, grid, 0.1, Method.DMSCM, MomentConfig(g=2), threads=4)
-    assert serial.p_values == threaded.p_values
-    assert serial.to_json_dict() == threaded.to_json_dict()
 
 
 def test_translation_equivariance_of_p_curve():

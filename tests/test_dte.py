@@ -433,6 +433,31 @@ def test_mmd_squared_is_gather_path_statistic_bitwise(n_a, n_b):
     assert mmd_squared(a, b) == mmd_test(a, b, permutations=50, seed=3).mmd2
 
 
+# mmd_squared scores one split, mmd_test P + 1 of them. The gather path sums
+# each split on its own, so the two agree bit for bit; the product path's
+# strip @ members rounds differently for 1 column than for P + 1.
+@pytest.mark.parametrize(
+    "n_a, n_b, gathers",
+    [(6, 1000, True), (30, 1000, True), (6, 6, False), (60, 500, False), (200, 200, False)],
+)
+@pytest.mark.parametrize("swap", [False, True])
+def test_mmd_squared_agrees_with_mmd_test_on_both_paths(n_a, n_b, gathers, swap):
+    assert _gathers(n_a + n_b, min(n_a, n_b)) == gathers
+    for seed in range(4):
+        rng = np.random.default_rng(4000 + seed)
+        values = rng.normal(0.0, 1.0, 24)
+        a = rng.choice(values, n_a) if seed % 2 else rng.normal(0.3, 1.0, n_a)
+        b = rng.choice(values, n_b) if seed % 2 else rng.normal(0.0, 1.2, n_b)
+        if swap:
+            a, b = b, a
+        for permutations in (10, 500):
+            mmd2 = mmd_test(a, b, permutations=permutations, seed=seed).mmd2
+            if gathers:
+                assert mmd_squared(a, b) == mmd2
+            else:
+                assert abs(mmd_squared(a, b) - mmd2) <= 1e-14
+
+
 @pytest.mark.parametrize("swap", [False, True])
 def test_mmd_gather_path_memory(swap):
     # the n x (P + 1) split indicators alone would take 40 MB here
