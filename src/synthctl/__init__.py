@@ -28,10 +28,6 @@ from .estimators import (
     BiasLimitInput,
     FitResult,
     Method,
-    fit_abadie,
-    fit_d2mscm,
-    fit_dmscm,
-    fit_fp_demeaned,
     fit_method,
     fit_ols,
     ls_bias_limit,
@@ -44,10 +40,8 @@ from .moments import (
     gmm_objective,
 )
 from .panel import (
-    DemeanedPanel,
     PanelData,
     PanelSchema,
-    demean,
     load_panel,
     save_panel,
 )
@@ -78,7 +72,6 @@ __all__ = [
     "BiasLimitInput",
     "BootstrapSample",
     "ConformalReport",
-    "DemeanedPanel",
     "FitResult",
     "Method",
     "MixtureDgpConfig",
@@ -102,13 +95,8 @@ __all__ = [
     "confidence_interval",
     "conformal_p_value",
     "default_grid",
-    "demean",
     "derive_seed",
     "figure2_spec",
-    "fit_abadie",
-    "fit_d2mscm",
-    "fit_dmscm",
-    "fit_fp_demeaned",
     "fit_method",
     "fit_ols",
     "gen_mixture_dgp",

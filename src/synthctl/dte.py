@@ -60,7 +60,6 @@ class BootstrapSample:
     draws: np.ndarray
     l: int
     seed: int
-    weights_used: WeightVector
 
     def __post_init__(self):
         d = np.asarray(self.draws, dtype=float)
@@ -123,7 +122,7 @@ def bootstrap_counterfactual(
     draws = post[units, per_unit[np.arange(l), units]]
     if weights.intercept is not None:
         draws = draws + weights.intercept
-    return BootstrapSample(draws=draws, l=l, seed=seed, weights_used=weights)
+    return BootstrapSample(draws=draws, l=l, seed=seed)
 
 
 def check_probs(probs) -> list[float]:

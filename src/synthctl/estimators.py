@@ -1,6 +1,6 @@
 """Synthetic-control fitting procedures and the least-squares bias oracle.
 
-Four fitting routines share one surface: the density-matching estimators
+Four simplex methods share one fitting path: the density-matching estimators
 (raw and demeaned-with-intercept) solve the moment-matching quadratic, and
 the classical baselines (simplex-constrained least squares and its demeaned
 variant) solve the pre-period regression quadratic with the same simplex
@@ -35,10 +35,6 @@ __all__ = [
     "Method",
     "FitResult",
     "BiasLimitInput",
-    "fit_dmscm",
-    "fit_d2mscm",
-    "fit_abadie",
-    "fit_fp_demeaned",
     "fit_ols",
     "fit_method",
     "ls_bias_limit",
@@ -136,11 +132,9 @@ def estimate_weights(
     if method.matches_moments:
         build = build_demeaned_system if method.demeaned else build_system
         system: MomentSystem | _LinearSystem = build(panel, cfg, window=window)
-        v = cfg.weighting_matrix(system.n_moments)
     else:
         system = _ls_rows(panel.outcomes, window, method.demeaned)
-        v = None
-    wv, diag = solve_simplex_qp(system, v, opts)
+    wv, diag = solve_simplex_qp(system, None, opts)
 
     if method.demeaned:
         means, _ = demean_rows(panel.outcomes, window)
@@ -176,38 +170,6 @@ def fit_method(
         return fit_ols(panel)
     wv, diag = estimate_weights(panel, method, cfg, opts)
     return _result(panel, method, wv, diag)
-
-
-def fit_dmscm(
-    panel: PanelData,
-    cfg: MomentConfig = MomentConfig(),
-    opts: SolverOptions = SolverOptions(),
-) -> FitResult:
-    """Density-matching fit: moment-matched simplex weights, no intercept."""
-    return fit_method(panel, Method.DMSCM, cfg, opts)
-
-
-def fit_d2mscm(
-    panel: PanelData,
-    cfg: MomentConfig = MomentConfig(),
-    opts: SolverOptions = SolverOptions(),
-) -> FitResult:
-    """Demeaned density-matching fit with the mean-gap intercept."""
-    return fit_method(panel, Method.D2MSCM, cfg, opts)
-
-
-def fit_abadie(
-    panel: PanelData, opts: SolverOptions = SolverOptions()
-) -> FitResult:
-    """Simplex-constrained least squares on pre-period outcome levels."""
-    return fit_method(panel, Method.ABADIE, opts=opts)
-
-
-def fit_fp_demeaned(
-    panel: PanelData, opts: SolverOptions = SolverOptions()
-) -> FitResult:
-    """Simplex-constrained least squares on demeaned outcomes, with intercept."""
-    return fit_method(panel, Method.FP_DEMEANED, opts=opts)
 
 
 def fit_ols(panel: PanelData) -> FitResult:

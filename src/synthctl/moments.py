@@ -4,15 +4,15 @@ A moment system stacks, for each configured order g, the pre-period average
 of the g-th power of each unit's (optionally rescaled) outcomes: matrix rows
 hold the untreated units' averages, the target vector the treated unit's.
 Covariate rows, when enabled, hold plain pre-period covariate averages. The
-weight-estimation objective is then the explicit quadratic
+weight-estimation objective of every configured fit is then the quadratic
 
-    Q(w) = (b - A w)' V (b - A w).
+    Q(w) = ||b - A w||^2.
 
 Outcomes can be divided by the pooled pre-period standard deviation (or the
 pre-period max absolute value) before powers are taken; either choice
-rescales each moment row by a constant, which is a row-wise change of V and
-therefore preserves the solution set while keeping high orders inside the
-finite double range.
+rescales each moment row by a constant, which keeps high orders inside the
+finite double range. A general weighting (b - A w)' V (b - A w) is not a
+configuration value: pass V to ``solve_simplex_qp`` directly.
 
 Powers are formed by a running product: one buffer holds the square of the
 scaled pre-period outcomes and is multiplied in place by them once per
@@ -55,46 +55,19 @@ SCALINGS = (SCALING_NONE, SCALING_POOLED_SD, SCALING_MAX_ABS)
 class MomentConfig:
     """Configuration for moment-system construction.
 
-    ``weighting`` is either the string ``"identity"``, a 1-D array holding the
-    diagonal of V, or a full symmetric PSD matrix of size (G+K) x (G+K).
+    The fit minimizes ||b - A w||^2 over the built rows; ``scaling`` divides
+    the outcomes before powers are taken, a constant rescale of each row.
     """
 
     g: int = 5
     include_covariates: bool = False
     scaling: str = SCALING_POOLED_SD
-    weighting: object = "identity"
 
     def __post_init__(self):
         if self.g < 1:
             raise BadConfigError(f"g must be >= 1, got {self.g}")
         if self.scaling not in SCALINGS:
             raise BadConfigError(f"unknown scaling {self.scaling!r}")
-        if isinstance(self.weighting, str) and self.weighting != "identity":
-            raise BadConfigError(f"unknown weighting {self.weighting!r}")
-
-    def weighting_matrix(self, dim: int) -> np.ndarray | None:
-        """Materialize V for a moment vector of length ``dim``; None means identity."""
-        if isinstance(self.weighting, str):
-            return None
-        v = np.asarray(self.weighting, dtype=float)
-        if v.ndim == 1:
-            if v.shape[0] != dim:
-                raise DimensionMismatchError(
-                    f"diagonal weighting has {v.shape[0]} entries, expected {dim}"
-                )
-            if (v < 0).any():
-                raise BadConfigError("diagonal weighting entries must be >= 0")
-            return np.diag(v)
-        if v.shape != (dim, dim):
-            raise DimensionMismatchError(
-                f"weighting matrix has shape {v.shape}, expected ({dim}, {dim})"
-            )
-        if not np.allclose(v, v.T):
-            raise BadConfigError("weighting matrix must be symmetric")
-        eigs = np.linalg.eigvalsh(v)
-        if eigs.min() < -1e-10 * max(1.0, abs(eigs.max())):
-            raise BadConfigError("weighting matrix must be positive semidefinite")
-        return v
 
 
 @dataclass(frozen=True)

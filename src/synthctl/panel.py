@@ -25,11 +25,9 @@ from .errors import (
 
 __all__ = [
     "PanelData",
-    "DemeanedPanel",
     "PanelSchema",
     "load_panel",
     "save_panel",
-    "demean",
 ]
 
 # Version of every JSON document the package writes; each schema under
@@ -168,14 +166,6 @@ class PanelData:
         """Outcome rows for untreated units, shape (J, T)."""
         return self.outcomes[1:]
 
-    @property
-    def pre_periods(self) -> slice:
-        return slice(0, self.t0)
-
-    @property
-    def post_periods(self) -> slice:
-        return slice(self.t0, self.n_periods)
-
     def with_treated_outcomes(self, new_row: np.ndarray) -> "PanelData":
         """Return a copy of the panel with the treated outcome series replaced."""
         outcomes = self.outcomes.copy()
@@ -189,40 +179,14 @@ class PanelData:
         )
 
 
-@dataclass(frozen=True)
-class DemeanedPanel:
-    """A panel together with pre-period unit means and demeaned outcomes.
-
-    ``demeaned_outcomes`` covers all T periods; the means are taken over the
-    pre-period only.
-    """
-
-    base: PanelData
-    unit_means: np.ndarray  # shape (J+1,)
-    demeaned_outcomes: np.ndarray  # shape (J+1, T)
-
-    def __post_init__(self):
-        pre = self.demeaned_outcomes[:, : self.base.t0]
-        if np.abs(pre.mean(axis=1)).max() > 1e-10:
-            raise PanelInvariantError(
-                "demeaned pre-period means are not zero within tolerance"
-            )
-
-
 def demean_rows(outcomes: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's mean over the first ``window`` columns, and the rows minus it.
 
-    The one demeaning routine: ``demean``, the demeaned moment and
-    least-squares systems and the fitted intercepts all take their means here.
+    The one demeaning routine: the demeaned moment and least-squares systems
+    and the fitted intercepts all take their means here.
     """
     means = outcomes[:, :window].mean(axis=1)
     return means, outcomes - means[:, None]
-
-
-def demean(panel: PanelData) -> DemeanedPanel:
-    """Subtract each unit's pre-period mean from its full outcome series."""
-    means, demeaned = demean_rows(panel.outcomes, panel.t0)
-    return DemeanedPanel(base=panel, unit_means=means, demeaned_outcomes=demeaned)
 
 
 def _parse_period(raw, schema: PanelSchema, row: int):

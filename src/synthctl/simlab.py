@@ -24,7 +24,6 @@ from .errors import BadConfigError, SynthctlError
 from .estimators import (
     BiasLimitInput,
     Method,
-    fit_dmscm,
     fit_method,
     ls_bias_limit,
 )
@@ -569,7 +568,7 @@ def theorem1_experiment(spec: Theorem1Spec) -> dict:
     for rep in range(spec.replications):
         panel = _theorem1_panel(spec, derive_seed(spec.seed, rep))
         ols_sum += ls_unconstrained(panel)
-        gmm_sum += fit_dmscm(panel, cfg).weights.weights
+        gmm_sum += fit_method(panel, Method.DMSCM, cfg).weights.weights
     limit = ls_bias_limit(
         BiasLimitInput(
             q_star=np.asarray(spec.q_diag),

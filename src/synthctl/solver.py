@@ -45,6 +45,9 @@ class WeightVector:
         if w.ndim != 1 or w.shape[0] < 1:
             raise DimensionMismatchError("weights must be a non-empty 1-D vector")
         if self.simplex:
+            # NaN passes both comparisons below, so non-finite entries go first
+            if not np.isfinite(w).all():
+                raise DimensionMismatchError("weights must be finite")
             if w.min() < -1e-12:
                 raise DimensionMismatchError(
                     f"weights must be nonnegative, min entry {w.min():.3e}"

@@ -15,7 +15,7 @@ import time
 import numpy as np
 from synthctl.conformal import NullSpec, conformal_p_value
 from synthctl.dte import bootstrap_counterfactual, mmd_test
-from synthctl.estimators import Method, fit_dmscm, fit_method
+from synthctl.estimators import Method, fit_method
 from synthctl.moments import MomentConfig, MomentSystem, build_system, gmm_objective
 from synthctl.panel import PanelData
 from synthctl.seeding import derive_seed
@@ -60,8 +60,10 @@ def test_criterion_1_consistency():
             j=10, t0=2000, t1=10, k=5, seed=derive_seed(0, 0, r)
         )
         panel, truth = gen_mixture_dgp(cfg)
-        fit = fit_dmscm(
-            panel, MomentConfig(g=5, include_covariates=True, scaling="pooled_sd")
+        fit = fit_method(
+            panel,
+            Method.DMSCM,
+            MomentConfig(g=5, include_covariates=True, scaling="pooled_sd"),
         )
         errors.append(float(np.abs(fit.weights.weights - truth.w_star).max()))
     elapsed = time.time() - start
@@ -139,7 +141,7 @@ def test_criterion_4_uniqueness_remark():
     errors = []
     for r in range(15):
         panel = gaussian_mixture_panel(t0=5000, seed=derive_seed(4, 0, r))
-        fit = fit_dmscm(panel, MomentConfig(g=4, scaling="max_abs"))
+        fit = fit_method(panel, Method.DMSCM, MomentConfig(g=4, scaling="max_abs"))
         errors.append(float(np.abs(fit.weights.weights - 0.5).max()))
     median = float(np.median(errors))
 
@@ -328,22 +330,20 @@ def test_criterion_8_property_suites():
     checks["att identity"] = ok
 
     # demeaned-fit shift equivariance
-    from synthctl.estimators import fit_d2mscm
-
     base = gaussian_mixture_panel(t0=900, seed=19)
     shifted_outcomes = base.outcomes.copy()
     shifted_outcomes[1] += 13.0
     shifted = PanelData(units=base.units, outcomes=shifted_outcomes, t0=base.t0)
-    w_a = fit_d2mscm(base, MomentConfig(g=4)).weights.weights
-    w_b = fit_d2mscm(shifted, MomentConfig(g=4)).weights.weights
+    w_a = fit_method(base, Method.D2MSCM, MomentConfig(g=4)).weights.weights
+    w_b = fit_method(shifted, Method.D2MSCM, MomentConfig(g=4)).weights.weights
     checks["shift equivariance"] = bool(np.allclose(w_a, w_b, atol=1e-6))
 
     # seed determinism of fit, dte, and simulate
     cfg_dgp = MixtureDgpConfig(j=4, t0=25, t1=8, k=0, seed=55)
     p1, _ = gen_mixture_dgp(cfg_dgp)
     p2, _ = gen_mixture_dgp(cfg_dgp)
-    f1 = fit_dmscm(p1, MomentConfig(g=3))
-    f2 = fit_dmscm(p2, MomentConfig(g=3))
+    f1 = fit_method(p1, Method.DMSCM, MomentConfig(g=3))
+    f2 = fit_method(p2, Method.DMSCM, MomentConfig(g=3))
     det = bool(np.array_equal(f1.weights.weights, f2.weights.weights))
     s1 = bootstrap_counterfactual(p1, f1.weights, 500, seed=6)
     s2 = bootstrap_counterfactual(p2, f2.weights, 500, seed=6)

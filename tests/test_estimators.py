@@ -10,10 +10,6 @@ from synthctl.errors import SingularMatrixError
 from synthctl.estimators import (
     BiasLimitInput,
     Method,
-    fit_abadie,
-    fit_d2mscm,
-    fit_dmscm,
-    fit_fp_demeaned,
     fit_method,
     fit_ols,
     ls_bias_limit,
@@ -38,7 +34,7 @@ def test_dmscm_degenerate_single_component():
         outcomes=np.vstack([third, other, series, third]),
         t0=30,
     )
-    fit = fit_dmscm(panel, MomentConfig(g=4, scaling="pooled_sd"))
+    fit = fit_method(panel, Method.DMSCM, MomentConfig(g=4, scaling="pooled_sd"))
     assert fit.weights.weights[2] >= 0.99
     assert abs(fit.mean_post_att()) < 1e-8
 
@@ -47,7 +43,7 @@ def test_dmscm_single_untreated_unit():
     rng = np.random.default_rng(1)
     outcomes = rng.normal(0, 1, (2, 10))
     panel = PanelData(units=("tr", "a"), outcomes=outcomes, t0=6)
-    fit = fit_dmscm(panel, MomentConfig(g=3))
+    fit = fit_method(panel, Method.DMSCM, MomentConfig(g=3))
     np.testing.assert_array_equal(fit.weights.weights, [1.0])
     np.testing.assert_array_equal(
         fit.att, panel.treated_outcomes[6:] - panel.untreated_outcomes[0, 6:]
@@ -61,7 +57,8 @@ def test_dmscm_recovers_effect_on_mixture_dgp():
         j=10, t0=2000, t1=100, k=5, tau=20.0, stationary=True, seed=derive_seed(77, 0, 4)
     )
     panel, truth = gen_mixture_dgp(cfg)
-    fit = fit_dmscm(panel, MomentConfig(g=5, include_covariates=True, scaling="pooled_sd"))
+    moments = MomentConfig(g=5, include_covariates=True, scaling="pooled_sd")
+    fit = fit_method(panel, Method.DMSCM, moments)
     assert abs(fit.mean_post_att() - 20.0) < 1.0
 
 
@@ -71,15 +68,15 @@ def test_d2mscm_recovers_intercept_and_null_effect(data_dir):
     panel = load_panel(
         data_dir / "toy_panel_shifted.csv", PanelSchema(), treated="treated", t0=200
     )
-    fit = fit_d2mscm(panel, MomentConfig(g=4, scaling="pooled_sd"))
+    fit = fit_method(panel, Method.D2MSCM, MomentConfig(g=4, scaling="pooled_sd"))
     assert fit.weights.intercept == pytest.approx(5.0, abs=0.5)
     assert fit.mean_post_att() == pytest.approx(0.0, abs=0.75)
 
 
 def test_d2mscm_matches_dmscm_without_shift():
     panel = gaussian_mixture_panel(t0=4000, seed=99)
-    raw = fit_dmscm(panel, MomentConfig(g=4, scaling="pooled_sd"))
-    dem = fit_d2mscm(panel, MomentConfig(g=4, scaling="pooled_sd"))
+    raw = fit_method(panel, Method.DMSCM, MomentConfig(g=4, scaling="pooled_sd"))
+    dem = fit_method(panel, Method.D2MSCM, MomentConfig(g=4, scaling="pooled_sd"))
     assert dem.weights.intercept == pytest.approx(0.0, abs=0.1)
     assert dem.mean_post_att() == pytest.approx(raw.mean_post_att(), abs=0.3)
 
@@ -93,7 +90,7 @@ def test_d2mscm_constant_panels_exact():
         ]
     )
     panel = PanelData(units=("tr", "a", "b"), outcomes=outcomes, t0=3)
-    fit = fit_d2mscm(panel, MomentConfig(g=2, scaling="none"))
+    fit = fit_method(panel, Method.D2MSCM, MomentConfig(g=2, scaling="none"))
     w = fit.weights.weights
     assert fit.weights.intercept == 2.0 - (w[0] * 3.0 + w[1] * 5.0)
     np.testing.assert_array_equal(fit.att, [5.0, 5.0])
@@ -107,7 +104,7 @@ def test_abadie_exact_copy():
         outcomes=np.vstack([series, rng.normal(0, 1, 20), series]),
         t0=14,
     )
-    fit = fit_abadie(panel)
+    fit = fit_method(panel, Method.ABADIE)
     assert fit.weights.weights[1] >= 1.0 - 1e-8
     assert fit.pre_fit_rmse < 1e-9
 
@@ -120,7 +117,7 @@ def test_abadie_recovers_noiseless_mean_mixture():
     panel = PanelData(
         units=("tr", "a", "b", "c"), outcomes=np.vstack([treated, x]), t0=18
     )
-    fit = fit_abadie(panel)
+    fit = fit_method(panel, Method.ABADIE)
     np.testing.assert_allclose(fit.weights.weights, w_star, atol=1e-7)
 
 
@@ -130,9 +127,10 @@ def test_abadie_unstable_where_dmscm_identifies():
     abadie_w, dmscm_w = [], []
     for seed in range(60):
         panel = gaussian_mixture_panel(t0=5000, seed=1000 + seed)
-        abadie_w.append(fit_abadie(panel).weights.weights[0])
+        abadie_w.append(fit_method(panel, Method.ABADIE).weights.weights[0])
         dmscm_w.append(
-            fit_dmscm(panel, MomentConfig(g=4, scaling="max_abs")).weights.weights[0]
+            fit_method(panel, Method.DMSCM, MomentConfig(g=4, scaling="max_abs"))
+            .weights.weights[0]
         )
     abadie_w, dmscm_w = np.array(abadie_w), np.array(dmscm_w)
     assert np.abs(dmscm_w - 0.5).mean() < 0.03
@@ -147,11 +145,11 @@ def test_fp_demeaned_absorbs_shift():
     panel = PanelData(
         units=("tr", "a", "b"), outcomes=np.vstack([treated, base, other]), t0=22
     )
-    fp = fit_fp_demeaned(panel)
+    fp = fit_method(panel, Method.FP_DEMEANED)
     assert fp.weights.weights[0] >= 1.0 - 1e-6
     assert abs(fp.mean_post_att()) < 1e-6
     # the level fit cannot absorb the shift
-    ab = fit_abadie(panel)
+    ab = fit_method(panel, Method.ABADIE)
     assert ab.pre_fit_rmse > 10 * fp.pre_fit_rmse
 
 
@@ -162,8 +160,8 @@ def test_fp_matches_abadie_on_zero_mean_panel():
     treated = 0.5 * x[0] + 0.5 * x[1] + rng.normal(0, 0.1, 400)
     panel = PanelData(units=("tr", "a", "b"), outcomes=np.vstack([treated, x]), t0=300)
     np.testing.assert_allclose(
-        fit_fp_demeaned(panel).weights.weights,
-        fit_abadie(panel).weights.weights,
+        fit_method(panel, Method.FP_DEMEANED).weights.weights,
+        fit_method(panel, Method.ABADIE).weights.weights,
         atol=1e-3,
     )
 
@@ -184,8 +182,8 @@ def test_d2mscm_shift_equivariance():
     shifted_outcomes[2] += 42.0
     shifted = PanelData(units=panel.units, outcomes=shifted_outcomes, t0=panel.t0)
     cfg = MomentConfig(g=4, scaling="pooled_sd")
-    w_base = fit_d2mscm(panel, cfg).weights.weights
-    w_shift = fit_d2mscm(shifted, cfg).weights.weights
+    w_base = fit_method(panel, Method.D2MSCM, cfg).weights.weights
+    w_shift = fit_method(shifted, Method.D2MSCM, cfg).weights.weights
     np.testing.assert_allclose(w_shift, w_base, atol=1e-6)
 
 
@@ -225,7 +223,7 @@ def test_bias_limit_singular():
 
 def test_fit_result_serializes_against_schema():
     panel = gaussian_mixture_panel(t0=30, seed=14)
-    fit = fit_dmscm(panel, MomentConfig(g=3))
+    fit = fit_method(panel, Method.DMSCM, MomentConfig(g=3))
     payload = fit.to_json_dict()
     schema = json.loads(open(f"{SCHEMA_DIR}/fit_result.schema.json").read())
     jsonschema.validate(payload, schema)

@@ -259,17 +259,6 @@ def test_covariates_requested_but_missing():
         build_system(panel, MomentConfig(g=2, include_covariates=True))
 
 
-def test_weighting_matrix_validation():
-    cfg = MomentConfig(g=2, weighting=np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(BadConfigError):
-        cfg.weighting_matrix(2)  # indefinite
-    diag = MomentConfig(g=2, weighting=np.array([1.0, 0.5]))
-    np.testing.assert_array_equal(diag.weighting_matrix(2), np.diag([1.0, 0.5]))
-    with pytest.raises(DimensionMismatchError):
-        diag.weighting_matrix(3)
-    assert MomentConfig(g=2).weighting_matrix(2) is None
-
-
 def test_bad_config_rejected():
     with pytest.raises(BadConfigError):
         MomentConfig(g=0)

@@ -20,7 +20,7 @@ from synthctl.moments import MomentConfig
 from synthctl.panel import (
     PanelData,
     PanelSchema,
-    demean,
+    demean_rows,
     load_panel,
     save_panel,
 )
@@ -219,27 +219,22 @@ def test_nan_outcome_rejected():
 
 def test_demean_hand_example():
     outcomes = np.array([[1.0, 2.0, 3.0, 10.0], [5.0, 5.0, 5.0, 5.0]])
-    panel = PanelData(units=("tr", "a"), outcomes=outcomes, t0=3)
-    dm = demean(panel)
-    assert dm.unit_means[0] == 2.0
-    np.testing.assert_array_equal(dm.demeaned_outcomes[0], [-1.0, 0.0, 1.0, 8.0])
+    means, demeaned = demean_rows(outcomes, 3)
+    np.testing.assert_array_equal(means, [2.0, 5.0])
+    np.testing.assert_array_equal(demeaned[0], [-1.0, 0.0, 1.0, 8.0])
 
 
 def test_demean_zero_and_constant_panels():
-    zeros = PanelData(units=("tr", "a"), outcomes=np.zeros((2, 5)), t0=3)
-    np.testing.assert_array_equal(demean(zeros).demeaned_outcomes, np.zeros((2, 5)))
-    const = PanelData(units=("tr", "a"), outcomes=np.full((2, 5), 7.25), t0=3)
-    np.testing.assert_array_equal(demean(const).demeaned_outcomes, np.zeros((2, 5)))
+    for value in (0.0, 7.25):
+        _, demeaned = demean_rows(np.full((2, 5), value), 3)
+        np.testing.assert_array_equal(demeaned, np.zeros((2, 5)))
 
 
 def test_demean_idempotent_within_tolerance():
     rng = np.random.default_rng(3)
-    panel = PanelData(units=("tr", "a", "b"), outcomes=rng.normal(5, 3, (3, 9)), t0=6)
-    once = demean(panel)
-    again = demean(
-        PanelData(units=panel.units, outcomes=once.demeaned_outcomes, t0=panel.t0)
-    )
-    assert np.abs(again.unit_means).max() < 1e-12
+    _, once = demean_rows(rng.normal(5, 3, (3, 9)), 6)
+    means, _ = demean_rows(once, 6)
+    assert np.abs(means).max() < 1e-12
 
 
 @settings(max_examples=25, deadline=None)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from synthctl.errors import DimensionMismatchError, SingularGramError
 from synthctl.estimators import Method, estimate_weights
-from synthctl.moments import MomentConfig, MomentSystem
+from synthctl.moments import MomentConfig, MomentSystem, build_system
 from synthctl.panel import PanelData
 from synthctl.simlab import figure2_spec, gen_mixture_dgp
 from synthctl.solver import (
@@ -203,13 +203,13 @@ def golden_systems():
         "g5": (Method.DMSCM, MomentConfig(g=5, **base)),
         "g10": (Method.DMSCM, MomentConfig(g=10, **base)),
         "abadie": (Method.ABADIE, MomentConfig(g=1)),
-        "diag_v": (
-            Method.DMSCM,
-            MomentConfig(g=5, weighting=np.linspace(0.5, 3.0, 10), **base),
-        ),
-        "full_v": (Method.DMSCM, MomentConfig(g=3, weighting=full_v, **base)),
     }
-    return panel, cases
+    # a general V is no configuration value: these solve the built system directly
+    weighted = {
+        "diag_v": (MomentConfig(g=5, **base), np.diag(np.linspace(0.5, 3.0, 10))),
+        "full_v": (MomentConfig(g=3, **base), full_v),
+    }
+    return panel, cases, weighted
 
 
 # (weights as float.hex, iterations, converged, non_unique), recorded with
@@ -256,10 +256,13 @@ GOLDEN_SOLVES = {
 
 
 def test_golden_solves_bitwise():
-    panel, cases = golden_systems()
-    assert set(cases) == set(GOLDEN_SOLVES)
-    for name, (method, cfg) in cases.items():
-        wv, diag = estimate_weights(panel, method, cfg)
+    panel, cases, weighted = golden_systems()
+    assert set(cases) | set(weighted) == set(GOLDEN_SOLVES)
+    solves = {name: estimate_weights(panel, method, cfg)
+              for name, (method, cfg) in cases.items()}
+    solves.update((name, solve_simplex_qp(build_system(panel, cfg), v))
+                  for name, (cfg, v) in weighted.items())
+    for name, (wv, diag) in solves.items():
         got = ([float(x).hex() for x in wv.weights], diag.iterations,
                diag.converged, diag.non_unique)
         assert got == GOLDEN_SOLVES[name], name
@@ -377,6 +380,10 @@ def test_weight_vector_validation():
     # tiny negatives from float arithmetic are clamped
     clamped = WeightVector(np.array([1.0 + 1e-13, -1e-13]))
     assert clamped.weights.min() == 0.0
+    # NaN compares false against both the sign and the sum bound
+    for bad in ([np.nan, np.nan], [np.nan, 1.0]):
+        with pytest.raises(DimensionMismatchError):
+            WeightVector(np.array(bad))
 
 
 def test_ls_unconstrained_exact_regressor():
