@@ -13,12 +13,12 @@ far shorter than the sample (24 of 10,006 values in the README example),
 and continuous data simply has len(u) = n. The median-heuristic bandwidth
 is an exact selection over u that counts each pair of values c_a c_b
 times, bit-identical to the median of the dense pairwise differences. The
-Gaussian kernel of u is formed one strip of rows at a time (at most 2**20
-entries, upper block triangle only, since the kernel is symmetric) for its
-count-weighted row sums. Each of the observed split and the P permutations
-is the sorted value indices of its smaller sample, n_s of them, and needs
-in addition the kernel sum within that sample, which one of two paths
-computes:
+Gaussian kernel of u is formed one strip of rows at a time (at most 2**16
+entries, 512 KiB, upper block triangle only, since the kernel is
+symmetric) for its count-weighted row sums. Each of the observed split and
+the P permutations is the sorted value indices of its smaller sample, n_s
+of them, and needs in addition the kernel sum within that sample, which
+one of two paths computes:
 
 - the product path multiplies each strip by the len(u) x (P + 1) matrix of
   per-value split counts, about len(u)^2 / 2 multiply-adds per split;
@@ -29,7 +29,7 @@ computes:
 A gathered entry costs about 100 multiply-adds of the product, so the
 gather path runs when n_s (n_s - 1) * 100 < n^2 (see ``_gathers``): for
 unbalanced samples, such as a few observed values against thousands of
-bootstrap draws. Either way the memory is O(2**20 + P * n_s), since the
+bootstrap draws. Either way the memory is O(2**16 + P * n_s), since the
 product path runs only where n is below about 10 n_s.
 """
 
@@ -155,9 +155,13 @@ def save_draws(sample: BootstrapSample, target) -> None:
         fh.write("\r\n".join(lines))
 
 
-# One kernel strip holds at most this many float64 values (8 MiB); so does
-# one block of gathered within-sample kernel entries.
-_STRIP_ELEMS = 1 << 20
+# One kernel strip holds at most this many float64 values (512 KiB, which
+# stays in a core's L2 cache); so does one block of gathered within-sample
+# kernel entries. Timed from 2**14 to 2**20 on a 2-core x86-64 host (2 MiB L2
+# per core, one BLAS thread, 500 permutations): 2**15 to 2**17 were fastest
+# at 100 vs 3,000 continuous values, where 2**20 took 20% longer, and no cap
+# moved 100 vs 2,000 drawn values, 6 vs 10,000 or 200 vs 200 by more than 7%.
+_STRIP_ELEMS = 1 << 16
 # Time of one gathered within-sample kernel entry (subtract, square, negate,
 # divide, exp, sum) over that of one multiply-add of the strip product. On a
 # 2-core x86-64 host with one BLAS thread, 500 permutations, the ratio
@@ -340,10 +344,10 @@ def _mmd2_splits(
 
     - product: each strip also adds diag(M' K M) for the len(u) x P matrix
       M of per-value counts of each split, and t = r'M;
-      O(2**20 + len(u) * P) memory.
+      O(_STRIP_ELEMS + len(u) * P) memory.
     - gather: q = n_s + 2 * (sum of K_ij over i < j in S), from the n_s
       gathered values of each split (``_within_pair_sums``), and
-      t = sum(r[S]); O(2**20 + n_s * P) memory. Splits that hold the same
+      t = sum(r[S]); O(_STRIP_ELEMS + n_s * P) memory. Splits that hold the same
       values have equal rows, so their statistics tie exactly.
     """
     n_u = u.shape[0]
@@ -432,7 +436,7 @@ def mmd_test(a, b, permutations: int = 500, seed: int = 0) -> MmdReport:
     and the bandwidth selection and the kernel work on those: bootstrap
     draws repeat the few values of the post-period panel, so the kernel
     costs len(u)^2 / 2 entries, not n^2 / 2. Memory is
-    O(2**20 + permutations * n_s) for n_s values in the smaller sample, and
+    O(2**16 + permutations * n_s) for n_s values in the smaller sample, and
     O(len(u) * permutations) more where the split statistics come from the
     strip product (see ``_mmd2_splits``). No n x n array is built.
     """

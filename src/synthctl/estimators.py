@@ -148,12 +148,13 @@ def _result(panel: PanelData, method: Method, wv: WeightVector,
     counterfactual = wv.predict(panel.untreated_outcomes)
     att = panel.treated_outcomes[panel.t0 :] - counterfactual[panel.t0 :]
     pre_gap = panel.treated_outcomes[: panel.t0] - counterfactual[: panel.t0]
+    np.square(pre_gap, out=pre_gap)
     return FitResult(
         method=method,
         weights=wv,
         counterfactual=counterfactual,
         att=att,
-        pre_fit_rmse=float(np.sqrt(np.mean(pre_gap**2))),
+        pre_fit_rmse=float(np.sqrt(np.mean(pre_gap))),
         diagnostics=diag,
     )
 

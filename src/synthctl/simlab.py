@@ -513,10 +513,25 @@ class Theorem1Spec:
             raise BadConfigError("need at least one replication")
 
 
-def _theorem1_panel(spec: Theorem1Spec, seed: int) -> PanelData:
-    rng = np.random.default_rng(seed)
+def _theorem1_buffers(spec: Theorem1Spec) -> tuple[np.ndarray, np.ndarray]:
+    """The outcome buffer and the unit-mean buffer of one theorem1 panel."""
     j = len(spec.w_star)
     t = spec.t0_large + 1  # one throwaway post period
+    return np.empty((j + 1, t)), np.empty((j, t))
+
+
+def _theorem1_panel(
+    spec: Theorem1Spec, seed: int, buffers: tuple[np.ndarray, np.ndarray] | None = None
+) -> PanelData:
+    """Draw one theorem1 panel into ``buffers`` (``_theorem1_buffers``), or fresh ones.
+
+    The panel wraps a read-only view of the outcome buffer, so it holds
+    the next draw's values once the same buffers are drawn into again: it
+    must not outlive its replication.
+    """
+    rng = np.random.default_rng(seed)
+    outcomes, mu = buffers or _theorem1_buffers(spec)
+    j, t = mu.shape
     w = np.asarray(spec.w_star)
     q = np.asarray(spec.q_diag)
     s = np.asarray(spec.sigma_diag)
@@ -531,14 +546,12 @@ def _theorem1_panel(spec: Theorem1Spec, seed: int) -> PanelData:
     # per-unit gamma rows consume the stream exactly as one broadcast
     # (j, t) draw does, the four operations on mu keep their order, and each
     # reordered step is a single commuted multiply or add.
-    mu = np.empty((j, t))
     for unit in range(j):
         rng.standard_gamma(shapes[unit], out=mu[unit])
     mu -= shapes[:, None]
     mu *= signs[:, None]
     mu /= np.sqrt(shapes)[:, None]
     mu *= np.sqrt(q)[:, None]
-    outcomes = np.empty((j + 1, t))
     untreated = outcomes[1:]
     rng.standard_normal(out=untreated)
     untreated *= np.sqrt(s)[:, None]
@@ -552,7 +565,8 @@ def _theorem1_panel(spec: Theorem1Spec, seed: int) -> PanelData:
     treated *= np.sqrt(s)[comp]
     treated += mu[comp, np.arange(t)]
     units = ["treated"] + [f"u{i + 1}" for i in range(j)]
-    return PanelData(units=tuple(units), outcomes=outcomes, t0=spec.t0_large)
+    # a view: PanelData marks the array it holds read-only
+    return PanelData(units=tuple(units), outcomes=outcomes.view(), t0=spec.t0_large)
 
 
 def theorem1_experiment(spec: Theorem1Spec) -> dict:
@@ -565,8 +579,11 @@ def theorem1_experiment(spec: Theorem1Spec) -> dict:
     ols_sum = np.zeros(len(spec.w_star))
     gmm_sum = np.zeros(len(spec.w_star))
     cfg = MomentConfig(g=spec.g, scaling="pooled_sd")
+    # every replication is drawn into the same two buffers; each panel is
+    # done with before the next draw overwrites it
+    buffers = _theorem1_buffers(spec)
     for rep in range(spec.replications):
-        panel = _theorem1_panel(spec, derive_seed(spec.seed, rep))
+        panel = _theorem1_panel(spec, derive_seed(spec.seed, rep), buffers)
         ols_sum += ls_unconstrained(panel)
         gmm_sum += fit_method(panel, Method.DMSCM, cfg).weights.weights
     limit = ls_bias_limit(
