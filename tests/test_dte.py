@@ -475,6 +475,42 @@ def test_mmd_gather_path_memory(swap):
     assert peak <= 32 * 2**20
 
 
+@pytest.mark.parametrize("swap", [False, True])
+def test_mmd_test_peak_is_a_few_strips(swap):
+    # 10,100 distinct values: six kernel rows per strip, and 501 splits of
+    # 100 values; 2**20-entry strips (8 MiB) peaked at 16.6 MiB here
+    rng = np.random.default_rng(47)
+    a, b = rng.normal(0.0, 1.0, 100), rng.normal(0.2, 1.0, 10_000)
+    if swap:
+        a, b = b, a
+    tracemalloc.start()
+    try:
+        mmd_test(a, b, permutations=500, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
+# Strips far below the kernel's size: at 256 values, one kernel row per strip
+# on the product path and gather blocks of five splits; at 16 values, gather
+# blocks of one split, whose pairs alone overfill a strip.
+@pytest.mark.parametrize(
+    "n_a, n_b, gathers, strip",
+    [(60, 500, False, 256), (50, 1000, True, 256), (20, 400, True, 16)],
+)
+def test_mmd_multi_strip_matches_dense_reference(monkeypatch, n_a, n_b, gathers, strip):
+    monkeypatch.setattr(dte, "_STRIP_ELEMS", strip)
+    assert _gathers(n_a + n_b, min(n_a, n_b)) == gathers
+    rng = np.random.default_rng(5000 + n_a)
+    a, b = rng.normal(0.0, 1.0, n_a), rng.normal(0.3, 1.2, n_b)
+    stats, h = dense_mmd_stats(a, b, 300, 8)
+    report = mmd_test(a, b, permutations=300, seed=8)
+    assert report.bandwidth == h
+    assert report.p_value == (1 + np.count_nonzero(stats[1:] >= stats[0])) / 301
+    assert report.mmd2 == pytest.approx(stats[0], rel=1e-12, abs=1e-14)
+
+
 # Bootstrap draws repeat the few values of a post-period panel; shapes on
 # both sides of the path rule, with observed values apart from the draws'
 # values and among them.

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synthctl import moments
 from synthctl.errors import (
     BadConfigError,
     DimensionMismatchError,
@@ -264,3 +267,118 @@ def test_bad_config_rejected():
         MomentConfig(g=0)
     with pytest.raises(BadConfigError):
         MomentConfig(scaling="bogus")
+
+
+# One pass over whole (J+1) x window arrays, the build before the window was
+# walked in blocks: numpy's std and max for the scale, then the row means of
+# a running product. Covariate rows are plain means of the scaled covariate.
+def _one_pass_reference(panel, cfg, demeaned):
+    pre = panel.outcomes[:, : panel.t0]
+    if demeaned:
+        pre = pre - pre.mean(axis=1, keepdims=True)
+
+    def scale_of(values):
+        if cfg.scaling == "pooled_sd":
+            sd = float(values.std())
+            return sd if sd > 0 else 1.0
+        if cfg.scaling == "max_abs":
+            m = float(np.abs(values).max())
+            return m if m > 0 else 1.0
+        return 1.0
+
+    scale = scale_of(pre)
+    scaled = pre / scale
+    power = scaled
+    rows = [power.mean(axis=1)]
+    for _ in range(1, cfg.g):
+        power = power * scaled
+        rows.append(power.mean(axis=1))
+    abs_means = [np.mean(np.abs(scaled) ** g, axis=1) for g in range(1, cfg.g + 1)]
+    if cfg.include_covariates:
+        for k in range(panel.covariates.shape[2]):
+            x_pre = panel.covariates[:, : panel.t0, k]
+            rows.append(np.mean(x_pre / scale_of(x_pre), axis=1))
+            abs_means.append(np.mean(np.abs(x_pre / scale_of(x_pre)), axis=1))
+    return np.array(rows), scale, np.array(abs_means)
+
+
+def _covariate_panel(seed, j, t0):
+    rng = np.random.default_rng(seed)
+    outcomes = rng.normal(-0.5, 1.5, (j + 1, t0 + 5)) * rng.uniform(0.5, 2.0, (j + 1, 1))
+    covs = rng.normal(2.0, 3.0, (j + 1, t0 + 5, 2))
+    units = tuple(["tr"] + [f"u{i}" for i in range(j)])
+    return PanelData(units=units, outcomes=outcomes, t0=t0, covariates=covs)
+
+
+@pytest.mark.parametrize("scaling", ["none", "pooled_sd", "max_abs"])
+@pytest.mark.parametrize("builder", [build_system, build_demeaned_system])
+def test_one_block_build_is_the_one_pass_build_bitwise(scaling, builder):
+    # 9 rows x 3,000 periods is the largest window of these that fits one
+    # block; the pre-period window is a strided view of the outcomes
+    for seed, (j, t0) in enumerate([(2, 40), (10, 130), (8, 3000)]):
+        assert (j + 1) * t0 <= moments._BLOCK_ELEMS
+        panel = _covariate_panel(seed, j, t0)
+        cfg = MomentConfig(g=6, include_covariates=True, scaling=scaling)
+        system = builder(panel, cfg)
+        ref, scale, _ = _one_pass_reference(panel, cfg, system.demeaned)
+        got = np.column_stack([system.b_vector, system.a_matrix])
+        assert system.scale == scale
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("scaling", ["none", "pooled_sd", "max_abs"])
+@pytest.mark.parametrize("builder", [build_system, build_demeaned_system])
+@pytest.mark.parametrize("block_elems", [None, 64, 7])
+def test_several_block_build_moves_by_rounding_only(monkeypatch, scaling, builder, block_elems):
+    # the theorem1 shape at the real block size, and small blocks (down to
+    # one period each) on a short window. Bound: 1e-13 of |row mean| plus
+    # the row's mean |x|^g, about 450 ulps. Each block adds one rounded
+    # partial sum to the pairwise sum's log2(T0) roundings, and the pooled
+    # sd's own rounding enters order g g-fold; the largest move seen was
+    # 1.3e-15 of that, with one-period blocks.
+    if block_elems is None:
+        panel = _covariate_panel(11, 2, 100_000)
+    else:
+        monkeypatch.setattr(moments, "_BLOCK_ELEMS", block_elems)
+        panel = _covariate_panel(12, 3, 500)
+    assert (panel.n_untreated + 1) * panel.t0 > moments._BLOCK_ELEMS
+    cfg = MomentConfig(g=6, include_covariates=True, scaling=scaling)
+    system = builder(panel, cfg)
+    ref, scale, abs_means = _one_pass_reference(panel, cfg, system.demeaned)
+    got = np.column_stack([system.b_vector, system.a_matrix])
+    assert system.scale == pytest.approx(scale, rel=1e-14)
+    assert (np.abs(got - ref) <= 1e-13 * (np.abs(ref) + abs_means)).all()
+    if scaling == "max_abs":
+        # the largest |x| is exact in any order
+        assert system.scale == scale
+
+
+def test_overflow_in_the_last_block_alone_is_raised():
+    # 2 rows x 40,000 periods is three blocks; only the last holds the 1e80
+    # values, whose 4th power exceeds the double range
+    t0 = 40_000
+    width = moments._BLOCK_ELEMS // 2
+    assert t0 - 3 >= 2 * width
+    outcomes = np.random.default_rng(13).normal(0.0, 1.0, (2, t0 + 1))
+    panel = panel_from(outcomes[0], [outcomes[1]], t0=t0)
+    assert np.isfinite(build_system(panel, MomentConfig(g=5, scaling="none")).a_matrix).all()
+    outcomes[1, t0 - 3 : t0] = 1e80
+    panel = panel_from(outcomes[0], [outcomes[1]], t0=t0)
+    with pytest.raises(MomentOverflowError):
+        build_system(panel, MomentConfig(g=5, scaling="none"))
+
+
+def test_build_system_peak_is_bounded():
+    # a (3, 100,001) panel, the theorem1 shape: two whole-window arrays
+    # would take 4.8 MB, two block buffers take 0.5 MiB
+    rng = np.random.default_rng(14)
+    outcomes = rng.normal(0.0, 1.0, (3, 100_001))
+    panel = panel_from(outcomes[0], list(outcomes[1:]), t0=100_000)
+    build_system(panel, MomentConfig(g=4))
+    tracemalloc.start()
+    try:
+        build_system(panel, MomentConfig(g=4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20

@@ -372,11 +372,12 @@ def test_theorem1_panel_matches_reference_bit_for_bit(spec):
 
 
 def test_theorem1_experiment_golden():
-    # recorded from the broadcast-draw generator
+    # recorded from the broadcast-draw generator; gmm_mean re-recorded when
+    # the moment build went to blocks of periods (it moved by 3.9e-16)
     res = theorem1_experiment(Theorem1Spec(replications=3))
     assert [x.hex() for x in res["gmm_mean"]] == [
-        "0x1.fb90c8f04c8fcp-2",
-        "0x1.02379b87d9b82p-1",
+        "0x1.fb90c8f04c903p-2",
+        "0x1.02379b87d9b7fp-1",
     ]
     assert [x.hex() for x in res["ols_mean"]] == [
         "0x1.018621a3b5d24p-2",
