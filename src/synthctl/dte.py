@@ -159,8 +159,9 @@ def save_draws(sample: BootstrapSample, target) -> None:
 # stays in a core's L2 cache); so does one block of gathered within-sample
 # kernel entries. Timed from 2**14 to 2**20 on a 2-core x86-64 host (2 MiB L2
 # per core, one BLAS thread, 500 permutations): 2**15 to 2**17 were fastest
-# at 100 vs 3,000 continuous values, where 2**20 took 20% longer, and no cap
-# moved 100 vs 2,000 drawn values, 6 vs 10,000 or 200 vs 200 by more than 7%.
+# at 100 vs 3,000 continuous values, where 2**20 took 20% longer, and every
+# cap from 2**15 to 2**20 timed within 8% of the others at 100 vs 2,000
+# drawn values, 6 vs 10,000 and 200 vs 200.
 _STRIP_ELEMS = 1 << 16
 # Time of one gathered within-sample kernel entry (subtract, square, negate,
 # divide, exp, sum) over that of one multiply-add of the strip product. On a
@@ -347,8 +348,8 @@ def _mmd2_splits(
       O(_STRIP_ELEMS + len(u) * P) memory.
     - gather: q = n_s + 2 * (sum of K_ij over i < j in S), from the n_s
       gathered values of each split (``_within_pair_sums``), and
-      t = sum(r[S]); O(_STRIP_ELEMS + n_s * P) memory. Splits that hold the same
-      values have equal rows, so their statistics tie exactly.
+      t = sum(r[S]); O(_STRIP_ELEMS + n_s * P) memory. Splits that hold the
+      same values have equal rows, so their statistics tie exactly.
     """
     n_u = u.shape[0]
     n = int(c.sum())

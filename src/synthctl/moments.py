@@ -22,9 +22,9 @@ deviations (or the max-abs scale's absolute values), then the block's
 powers, formed by a running product: the square, multiplied in place by the
 scaled block once per further order. Each order's row sums are added block
 by block, and the means are the totals over the window. When the window
-fits one block, as it does for every figure2, appendixD and conformal build
-and the README examples, the build is bit-identical to one pass over whole
-(J+1) x T0 arrays. Over several blocks the sums, and the pooled standard
+fits one block, as it does in the figure2 and appendixD studies, in
+conformal on their panels up to J = 30 and in every README example, the
+build is bit-identical to one pass over whole (J+1) x T0 arrays. Over several blocks the sums, and the pooled standard
 deviation, move by rounding only. Order 2 equals ``x**2`` bit for bit;
 higher orders differ from ``x**g`` by rounding only (per element at most
 1 ulp at g = 3, 2 at g = 4 and 5 at g = 10 on normal draws), and each order
@@ -150,12 +150,12 @@ def _blocks(values: np.ndarray, width: int) -> list[np.ndarray]:
 def _pooled_sd(blocks: list[np.ndarray], work: np.ndarray) -> float:
     """The standard deviation of all entries of ``blocks``, taken block by block.
 
-    ``work`` holds the squared deviations of one block. For one block it is
-    ``values.std()`` bit for bit, the same steps as numpy's: the mean as the
-    sum over the count, then the sum of the squared deviations, formed in a
-    C-ordered array like ``work``, over the count. Over several blocks the
-    two sums add the blocks' own sums, which moves the result by rounding
-    only.
+    ``work`` holds the squared deviations of one block. For a single block
+    ``b`` it is ``b.std()`` bit for bit, the same steps as numpy's: the mean
+    as the sum over the count, then the sum of the squared deviations,
+    formed in a C-ordered array like ``work``, over the count. Over several
+    blocks the two sums add the blocks' own sums, which moves the result by
+    rounding only.
     """
     size = sum(b.size for b in blocks)
     mean = sum(b.sum() for b in blocks) / size
@@ -175,7 +175,7 @@ def _scale_for(blocks: list[np.ndarray], scaling: str, work: np.ndarray) -> floa
     if scaling == SCALING_MAX_ABS:
         # scaled series lies in [-1, 1], so every power stays bounded: high
         # orders fade smoothly instead of amplifying sampling noise
-        m = float(np.max([np.abs(b, out=work[:, : b.shape[1]]).max() for b in blocks]))
+        m = max(float(np.abs(b, out=work[:, : b.shape[1]]).max()) for b in blocks)
         return m if m > 0 else 1.0
     return 1.0
 
@@ -194,14 +194,11 @@ def _power_means(
         x = np.divide(b, scale, out=scaled[:, : b.shape[1]])
         p = power[:, : b.shape[1]]
         part = np.empty((g, b.shape[0]))
-        np.sum(x, axis=1, out=part[0])
+        np.add.reduce(x, axis=1, out=part[0])
         for k in range(1, g):
             np.multiply(x if k == 1 else p, x, out=p)
-            np.sum(p, axis=1, out=part[k])
-        if sums is None:
-            sums = part
-        else:
-            sums += part
+            np.add.reduce(p, axis=1, out=part[k])
+        sums = part if sums is None else sums + part
     return sums / sum(b.shape[1] for b in blocks)
 
 
