@@ -297,11 +297,32 @@ def load_panel(source, schema: PanelSchema, treated: str, t0: int) -> PanelData:
     )
 
 
+def _csv_fields(values) -> list[str]:
+    """Each value as ``csv.writer`` writes it as one field of a multi-field row.
+
+    A field is written in a two-field row and the row's tail cut off, so the
+    quoting is exactly the writer's own; a lone empty string is not quoted,
+    as it is not in a row of several fields.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    fields = []
+    for value in values:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((value, ""))
+        fields.append(buf.getvalue()[: -len(",\r\n")])
+    return fields
+
+
 def save_panel(panel: PanelData, target, schema: PanelSchema | None = None) -> None:
     """Write a panel as long-format CSV that round-trips bitwise through load_panel.
 
-    Floats are written with ``repr``, which Python guarantees to parse back to
-    the identical double.
+    The bytes ``csv.writer`` would write, one row per (unit, period) in panel
+    order: header and labels quoted as the writer quotes them, ``repr`` of
+    each float (which Python guarantees to parse back to the identical double
+    and which never needs quoting), and ``\r\n`` line ends, in one ``write``
+    call.
     """
     if schema is None:
         schema = PanelSchema(
@@ -312,12 +333,17 @@ def save_panel(panel: PanelData, target, schema: PanelSchema | None = None) -> N
             f"schema declares {len(schema.covariates)} covariates, "
             f"panel has {panel.n_covariates}"
         )
+    values = panel.outcomes[:, :, None]
+    if panel.covariates is not None:
+        values = np.concatenate((values, panel.covariates), axis=2)
+    header = [schema.unit, schema.period, schema.outcome, *schema.covariates]
+    periods = [p + "," for p in _csv_fields(panel.period_labels)]
+    lines = [",".join(_csv_fields(header))]
+    for unit, rows in zip(_csv_fields(panel.units), values.tolist()):
+        unit += ","
+        lines.extend(
+            unit + period + ",".join(map(repr, row)) for period, row in zip(periods, rows)
+        )
+    lines.append("")
     with open_csv(target, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([schema.unit, schema.period, schema.outcome, *schema.covariates])
-        for i, unit in enumerate(panel.units):
-            for j, period in enumerate(panel.period_labels):
-                row = [unit, period, repr(float(panel.outcomes[i, j]))]
-                if panel.covariates is not None:
-                    row.extend(repr(float(v)) for v in panel.covariates[i, j])
-                writer.writerow(row)
+        fh.write("\r\n".join(lines))

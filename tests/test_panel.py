@@ -1,3 +1,4 @@
+import csv
 import gc
 import io
 
@@ -237,25 +238,63 @@ def test_demean_idempotent_within_tolerance():
     assert np.abs(means).max() < 1e-12
 
 
+def _reference_save_panel(panel, fh, schema):
+    """The csv.writer loop save_panel replaced, one cell at a time: its bytes."""
+    writer = csv.writer(fh)
+    writer.writerow([schema.unit, schema.period, schema.outcome, *schema.covariates])
+    for i, unit in enumerate(panel.units):
+        for j, period in enumerate(panel.period_labels):
+            row = [unit, period, repr(float(panel.outcomes[i, j]))]
+            if panel.covariates is not None:
+                row.extend(repr(float(v)) for v in panel.covariates[i, j])
+            writer.writerow(row)
+
+
+# unit ids csv.writer must quote (comma, quote, newline) or must not (empty,
+# spaces, non-ASCII); the treated unit first, the rest in load_panel's order
+ODD_UNITS = ("ü", *sorted(["", "a,b", 'q"t', "x\ny", " sp "]))
+EXTREMES = (-0.0, 5e-324, 1.7976931348623157e308)
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 1))
-def test_csv_round_trip_bitwise(seed, with_covariates):
+@given(seed=st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("covariates", ["none", "3d", "2d"])
+@pytest.mark.parametrize("case", ["plain", "odd_units", "str_periods", "extremes"])
+def test_csv_round_trip_bitwise(case, covariates, seed):
     rng = np.random.default_rng(seed)
-    n_units, n_periods = 3, 5
+    units = ODD_UNITS if case == "odd_units" else ("tr", "a", "b")
+    n_units, n_periods = len(units), 5
     outcomes = rng.normal(0, 1e3, (n_units, n_periods))
-    covariates = rng.normal(0, 7, (n_units, n_periods, 2)) if with_covariates else None
+    cov = {
+        "none": None,
+        "3d": rng.normal(0, 7, (n_units, n_periods, 2)),
+        "2d": rng.normal(0, 7, (n_units, 2)),  # time-invariant, broadcast
+    }[covariates]
+    if case == "extremes":
+        outcomes[:, :3] = EXTREMES
+        if cov is not None:
+            cov.flat[:3] = EXTREMES
+    labels = ("p,1", "p2", "p3", "p4", "p5") if case == "str_periods" else ()
     panel = PanelData(
-        units=("tr", "a", "b"), outcomes=outcomes, t0=3, covariates=covariates
+        units=units, outcomes=outcomes, t0=3, period_labels=labels, covariates=cov
+    )
+    schema = PanelSchema(
+        covariates=() if cov is None else ("x1", "x2"),
+        period_type="str" if labels else "int",
     )
     buf = io.StringIO()
-    schema = PanelSchema(covariates=("x1", "x2") if with_covariates else ())
     save_panel(panel, buf, schema)
-    reloaded = load_panel(csv_stream(buf.getvalue()), schema, treated="tr", t0=3)
+    expected = io.StringIO()
+    _reference_save_panel(panel, expected, schema)
+    assert buf.getvalue() == expected.getvalue()
+    reloaded = load_panel(csv_stream(buf.getvalue()), schema, treated=units[0], t0=3)
     assert reloaded.units == panel.units
     assert reloaded.period_labels == panel.period_labels
-    assert np.array_equal(reloaded.outcomes, panel.outcomes)
-    if with_covariates:
-        assert np.array_equal(reloaded.covariates, panel.covariates)
+    assert reloaded.outcomes.tobytes() == panel.outcomes.tobytes()
+    if cov is None:
+        assert reloaded.covariates is None
+    else:
+        assert reloaded.covariates.tobytes() == panel.covariates.tobytes()
 
 
 def test_string_periods_sort_lexicographically():
