@@ -404,3 +404,39 @@ def test_ls_unconstrained_singular_gram():
     )
     with pytest.raises(SingularGramError):
         ls_unconstrained(panel)
+
+
+@pytest.mark.parametrize(
+    "cond, certified", [(1.0, True), (1e6, False), (1e10, False), (1e13, False), (np.inf, False)]
+)
+def test_ls_unconstrained_rank_decision_is_matrix_rank(cond, certified, monkeypatch):
+    # T0 = 100,000 regressors of a set condition number; np.inf stands for
+    # exactly collinear columns. Well-conditioned inputs are certified from
+    # the Gram without the SVD; every other input gets matrix_rank's answer.
+    t0 = 100_000
+    rng = np.random.default_rng(14)
+    q, _ = np.linalg.qr(rng.normal(0, 1, (t0 + 1, 2)))
+    if np.isinf(cond):
+        x = np.column_stack([q[:, 0], 2.0 * q[:, 0]])
+    else:
+        rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
+        x = q * [1.0, 1.0 / cond] @ rotation
+    panel = PanelData(
+        units=("tr", "a", "b"), outcomes=np.vstack([rng.normal(0, 1, t0 + 1), x.T]), t0=t0
+    )
+    pre = panel.untreated_outcomes[:, :t0].T
+    singular = np.linalg.matrix_rank(pre) < 2
+    svd_calls = []
+    matrix_rank = np.linalg.matrix_rank
+    monkeypatch.setattr(
+        np.linalg, "matrix_rank", lambda a: svd_calls.append(1) or matrix_rank(a)
+    )
+    if singular:
+        with pytest.raises(SingularGramError):
+            ls_unconstrained(panel)
+    else:
+        coef = ls_unconstrained(panel)
+        y = panel.treated_outcomes[:t0]
+        assert coef.tobytes() == np.linalg.solve(pre.T @ pre, pre.T @ y).tobytes()
+    assert len(svd_calls) == (0 if certified else 1)
+    assert singular == (cond >= 1e13)
