@@ -317,15 +317,20 @@ class ReplicationResult:
                 )
 
     def save_figure_csv(self, target) -> None:
-        """Per-figure curve data: x, method, median, q25, q75 of the ATT error."""
+        """Per-figure curve data: x, the other grid value, method, ATT-error quartiles.
+
+        x follows ``StudySpec.x_axis``. The second column, headed ``j`` when x
+        is G and ``g`` when x is J, keeps the rows of different cells apart.
+        """
+        other = "j" if self.spec.x_axis == "g" else "g"
         with open_csv(target, "w") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["x", "method", "median", "q25", "q75"])
+            writer.writerow(["x", other, "method", "median", "q25", "q75"])
             for a in self.aggregates:
-                x = a.g if self.spec.x_axis == "g" else a.j
                 writer.writerow(
                     [
-                        x,
+                        getattr(a, self.spec.x_axis),
+                        getattr(a, other),
                         a.method.value,
                         repr(a.mean_att_error_median),
                         repr(a.mean_att_error_q25),

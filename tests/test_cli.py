@@ -313,10 +313,12 @@ def test_simulate_figure2_preset(tmp_path, capsys):
     records = (out_dir / "records.csv").read_text().strip().splitlines()
     assert len(records) == 1 + 2 * 3 * 2  # header + R * |G| * |methods|
     figure = (out_dir / "figure.csv").read_text().strip().splitlines()
-    methods = {line.split(",")[1] for line in figure[1:]}
+    assert figure[0] == "x,j,method,median,q25,q75"
+    methods = {line.split(",")[2] for line in figure[1:]}
     xs = {line.split(",")[0] for line in figure[1:]}
     assert methods == {"dmscm", "abadie"}
     assert xs == {"2", "5", "10"}
+    assert {line.split(",")[1] for line in figure[1:]} == {"10"}
     payload = json.loads((out_dir / "aggregates.json").read_text())
     jsonschema.validate(payload, schema("simulation_aggregates.schema.json"))
 
@@ -336,6 +338,7 @@ def test_simulate_appendix_d_j_override(tmp_path):
     )
     assert code == 0
     figure = (out_dir / "figure.csv").read_text().strip().splitlines()
+    assert figure[0] == "x,g,method,median,q25,q75"
     xs = {line.split(",")[0] for line in figure[1:]}
     assert xs == {"1", "5"}
 
@@ -635,6 +638,10 @@ def test_simulate_matches_golden_outputs(tmp_path):
     for name in ("aggregates.json", "figure.csv"):
         golden = GOLDEN / "study_2j_2g_3m" / name
         assert (out / name).read_bytes() == golden.read_bytes(), name
+    # x is J here; with G beside it, each (J, G, method) cell has its own key
+    rows = (out / "figure.csv").read_text().strip().splitlines()[1:]
+    keys = [tuple(row.split(",")[:3]) for row in rows]
+    assert len(set(keys)) == len(keys) == 2 * 2 * 3
 
 
 def test_simulate_one_j_plots_over_g(tmp_path):

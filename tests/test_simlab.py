@@ -212,7 +212,7 @@ def test_records_and_figure_csv_output():
     buf = io.StringIO()
     result.save_figure_csv(buf)
     fig_lines = buf.getvalue().strip().splitlines()
-    assert fig_lines[0] == "x,method,median,q25,q75"
+    assert fig_lines[0] == "x,j,method,median,q25,q75"
     xs = {line.split(",")[0] for line in fig_lines[1:]}
     assert xs == {"2", "4"}  # x axis is g for the default spec
 
