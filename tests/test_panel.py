@@ -1,6 +1,7 @@
 import csv
 import gc
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -257,44 +258,48 @@ EXTREMES = (-0.0, 5e-324, 1.7976931348623157e308)
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-@pytest.mark.parametrize("covariates", ["none", "3d", "2d"])
-@pytest.mark.parametrize("case", ["plain", "odd_units", "str_periods", "extremes"])
-def test_csv_round_trip_bitwise(case, covariates, seed):
-    rng = np.random.default_rng(seed)
-    units = ODD_UNITS if case == "odd_units" else ("tr", "a", "b")
-    n_units, n_periods = len(units), 5
-    outcomes = rng.normal(0, 1e3, (n_units, n_periods))
-    cov = {
-        "none": None,
-        "3d": rng.normal(0, 7, (n_units, n_periods, 2)),
-        "2d": rng.normal(0, 7, (n_units, 2)),  # time-invariant, broadcast
-    }[covariates]
-    if case == "extremes":
-        outcomes[:, :3] = EXTREMES
-        if cov is not None:
-            cov.flat[:3] = EXTREMES
-    labels = ("p,1", "p2", "p3", "p4", "p5") if case == "str_periods" else ()
-    panel = PanelData(
-        units=units, outcomes=outcomes, t0=3, period_labels=labels, covariates=cov
-    )
-    schema = PanelSchema(
-        covariates=() if cov is None else ("x1", "x2"),
-        period_type="str" if labels else "int",
-    )
-    buf = io.StringIO()
-    save_panel(panel, buf, schema)
-    expected = io.StringIO()
-    _reference_save_panel(panel, expected, schema)
-    assert buf.getvalue() == expected.getvalue()
-    reloaded = load_panel(csv_stream(buf.getvalue()), schema, treated=units[0], t0=3)
-    assert reloaded.units == panel.units
-    assert reloaded.period_labels == panel.period_labels
-    assert reloaded.outcomes.tobytes() == panel.outcomes.tobytes()
-    if cov is None:
-        assert reloaded.covariates is None
-    else:
-        assert reloaded.covariates.tobytes() == panel.covariates.tobytes()
+@given(st.integers(0, 2**32 - 1))
+def test_csv_round_trip_bitwise(seed):
+    # every label and value case with every covariate layout, per seed
+    for case, covariates in itertools.product(
+        ("plain", "odd_units", "str_periods", "extremes"), ("none", "3d", "2d")
+    ):
+        rng = np.random.default_rng(seed)
+        units = ODD_UNITS if case == "odd_units" else ("tr", "a", "b")
+        n_units, n_periods = len(units), 5
+        outcomes = rng.normal(0, 1e3, (n_units, n_periods))
+        cov = {
+            "none": None,
+            "3d": rng.normal(0, 7, (n_units, n_periods, 2)),
+            "2d": rng.normal(0, 7, (n_units, 2)),  # time-invariant, broadcast
+        }[covariates]
+        if case == "extremes":
+            outcomes[:, :3] = EXTREMES
+            if cov is not None:
+                cov.flat[:3] = EXTREMES
+        labels = ("p,1", "p2", "p3", "p4", "p5") if case == "str_periods" else ()
+        panel = PanelData(
+            units=units, outcomes=outcomes, t0=3, period_labels=labels, covariates=cov
+        )
+        schema = PanelSchema(
+            covariates=() if cov is None else ("x1", "x2"),
+            period_type="str" if labels else "int",
+        )
+        buf = io.StringIO()
+        save_panel(panel, buf, schema)
+        expected = io.StringIO()
+        _reference_save_panel(panel, expected, schema)
+        assert buf.getvalue() == expected.getvalue(), (case, covariates)
+        reloaded = load_panel(
+            csv_stream(buf.getvalue()), schema, treated=units[0], t0=3
+        )
+        assert reloaded.units == panel.units
+        assert reloaded.period_labels == panel.period_labels
+        assert reloaded.outcomes.tobytes() == panel.outcomes.tobytes(), (case, covariates)
+        if cov is None:
+            assert reloaded.covariates is None
+        else:
+            assert reloaded.covariates.tobytes() == panel.covariates.tobytes()
 
 
 def test_string_periods_sort_lexicographically():
