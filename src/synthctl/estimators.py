@@ -4,8 +4,9 @@ Four simplex methods share one fitting path: the density-matching estimators
 (raw and demeaned-with-intercept) solve the moment-matching quadratic, and
 the classical baselines (simplex-constrained least squares and its demeaned
 variant) solve the pre-period regression quadratic with the same simplex
-solver. Every fit returns the full counterfactual series, the post-period
-effect series, and solver diagnostics.
+solver: every simplex fit hands it a ``MomentSystem``, a baseline's holding
+no moment orders. Every fit returns the full counterfactual series, the
+post-period effect series, and solver diagnostics.
 
 ``Method`` holds every per-method decision (simplex weights, moment
 matching, demeaning with an intercept); other modules ask its properties,
@@ -65,14 +66,6 @@ class Method(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class _LinearSystem:
-    """Least-squares rows shaped like a moment system for the shared solver."""
-
-    a_matrix: np.ndarray
-    b_vector: np.ndarray
-
-
-@dataclass(frozen=True)
 class FitResult:
     method: Method
     weights: WeightVector
@@ -104,15 +97,6 @@ class FitResult:
         }
 
 
-def _ls_rows(outcomes: np.ndarray, window: int, demeaned: bool) -> _LinearSystem:
-    series = outcomes
-    if demeaned:
-        _, series = demean_rows(outcomes, window)
-    # scale rows by 1/sqrt(window) so the objective is the mean squared error
-    rows = series[:, :window] / math.sqrt(window)
-    return _LinearSystem(a_matrix=rows[1:].T, b_vector=rows[0])
-
-
 def estimate_weights(
     panel: PanelData,
     method: Method,
@@ -129,15 +113,20 @@ def estimate_weights(
     method = Method(method)
     if not method.simplex:
         raise BadConfigError(f"method {method.value} has no simplex weights")
+    series = panel.outcomes[:, :window]
+    if method.demeaned:  # fp's rows and either intercept's means
+        means, series = demean_rows(series, window)
     if method.matches_moments:
         build = build_demeaned_system if method.demeaned else build_system
-        system: MomentSystem | _LinearSystem = build(panel, cfg, window=window)
+        system = build(panel, cfg, window=window)
     else:
-        system = _ls_rows(panel.outcomes, window, method.demeaned)
+        # scale rows by 1/sqrt(window) so the objective is the mean squared error
+        rows = series / math.sqrt(window)
+        system = MomentSystem(a_matrix=rows[1:].T, b_vector=rows[0], gamma_orders=(),
+                              scale=1.0, demeaned=method.demeaned)
     wv, diag = solve_simplex_qp(system, None, opts)
 
     if method.demeaned:
-        means, _ = demean_rows(panel.outcomes, window)
         intercept = float(means[0] - wv.weights @ means[1:])
         wv = WeightVector(wv.weights, intercept=intercept)
     return wv, diag

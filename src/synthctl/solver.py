@@ -5,6 +5,9 @@ monotone accelerated projected-gradient method with exact Euclidean simplex
 projection is certifiably optimal and needs no external solver. The step size
 is 1/L with L estimated by power iteration on A'VA and grown deterministically
 whenever the quadratic upper bound it implies is violated.
+
+Every system reaches the solver as a ``MomentSystem``: the moment rows of the
+density-matching fits, or the least-squares rows of the baselines.
 """
 
 from __future__ import annotations
@@ -256,26 +259,11 @@ def solve_simplex_qp(
     q = _Quadratic(system, v)
     n = q.a.shape[1]
     rank = int(np.linalg.matrix_rank(q.a))
-    non_unique = rank < n
+    non_unique = 1 < n and rank < n  # one unit is one feasible point
     w = np.full(n, 1.0 / n)
-
-    if n == 1:
-        w1 = np.array([1.0])
-        return (
-            WeightVector(w1),
-            SolveDiagnostics(
-                iterations=0,
-                final_objective=q.value(w1),
-                projected_gradient_norm=0.0,
-                rank_estimate=rank,
-                converged=True,
-                non_unique=False,
-            ),
-        )
-
-    lip = q.lipschitz()
+    lip = q.lipschitz() if n > 1 else 0.0
     if lip <= 0.0:
-        # zero quadratic: every feasible point is optimal
+        # one unit, or the zero quadratic: every feasible point is optimal
         return (
             WeightVector(w),
             SolveDiagnostics(
@@ -292,8 +280,6 @@ def solve_simplex_qp(
     f_w = q.value(w)
     y = w
     t = 1.0
-    pg_norm = np.inf
-    iterations = 0
     converged = False
     since_restart = 0
     stagnant = 0
@@ -337,13 +323,15 @@ def solve_simplex_qp(
         w, f_w = w_new, f_new
 
         # the optimality certificate is priced at two extra products, so
-        # confirm it only periodically or once the iterate stops moving
-        if np.abs(d).max() <= 4.0 * opts.tol or iterations % 16 == 0:
+        # confirm it periodically, once the iterate stops moving, and on the
+        # last iteration, which always tries the polish too
+        last = iterations == opts.max_iter
+        if last or np.abs(d).max() <= 4.0 * opts.tol or iterations % 16 == 0:
             pg_norm = float(np.abs(w - _project(w - q.gradient(w) / lip)).max())
             if pg_norm <= opts.tol:
                 converged = True
                 break
-            if may_polish and (pg_norm <= 100.0 * opts.tol or stagnant >= 300):
+            if may_polish and (last or pg_norm <= 100.0 * opts.tol or stagnant >= 300):
                 # the active face is very likely final: finish with one
                 # exact solve on that face
                 polished = _polish(q, w, f_w, lip, opts.tol)
@@ -353,15 +341,6 @@ def solve_simplex_qp(
                     break
             if stagnant >= 600:
                 break  # no objective progress at float resolution: stalled
-
-    if not converged:
-        pg_norm = float(np.abs(w - _project(w - q.gradient(w) / lip)).max())
-        converged = pg_norm <= opts.tol
-        if not converged and may_polish:
-            polished = _polish(q, w, f_w, lip, opts.tol)
-            if polished is not None:
-                w, f_w, pg_norm = polished
-                converged = True
 
     return (
         WeightVector(w),

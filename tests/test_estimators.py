@@ -6,6 +6,7 @@ import pytest
 
 import jsonschema
 
+from synthctl import estimators
 from synthctl.errors import SingularMatrixError
 from synthctl.estimators import (
     BiasLimitInput,
@@ -14,10 +15,11 @@ from synthctl.estimators import (
     fit_ols,
     ls_bias_limit,
 )
-from synthctl.moments import MomentConfig
+from synthctl.moments import MomentConfig, MomentSystem
 from synthctl.panel import PanelData
 from synthctl.simlab import MixtureDgpConfig, figure2_spec, gen_mixture_dgp
 from synthctl.seeding import derive_seed
+from synthctl.solver import solve_simplex_qp
 
 from conftest import gaussian_mixture_panel
 
@@ -319,3 +321,20 @@ def test_fit_method_golden():
             d.iterations, float.hex(d.final_objective),
             float.hex(d.projected_gradient_norm), d.rank_estimate, d.converged, d.non_unique,
         ) == diag, method
+
+
+def test_every_simplex_fit_hands_the_solver_a_moment_system(monkeypatch):
+    systems = []
+
+    def spy(system, v, opts):
+        systems.append(system)
+        return solve_simplex_qp(system, v, opts)
+
+    monkeypatch.setattr(estimators, "solve_simplex_qp", spy)
+    panel, _ = gen_mixture_dgp(figure2_spec().dgp_config(5, 3))
+    simplex = [m for m in Method if m.simplex]
+    for method in simplex:
+        fit_method(panel, method)
+    assert len(simplex) == len(systems) == 4
+    assert all(isinstance(s, MomentSystem) for s in systems)
+    assert [s.demeaned for s in systems] == [m.demeaned for m in simplex]

@@ -359,6 +359,48 @@ def test_zero_system_returns_uniform():
     assert diag.converged and diag.non_unique
 
 
+# (weights as float.hex, iterations, converged, projected gradient norm as
+# float.hex, non_unique) at the default tol: max_iter 16 ends on a periodic
+# certificate, 17 on the last iteration's certificate and polish; recorded
+# with numpy's bundled OpenBLAS on x86-64
+MAX_ITER_SOLVES = {
+    ("full", 5): (
+        ["0x0.0p+0", "0x0.0p+0", "0x1.2a16a04438282p-1", "0x1.8467a2f6a1ff7p-4",
+         "0x0.0p+0", "0x1.4ab8d6b9e72fep-2"],
+        5, False, "0x1.0062b93f23c08p-6", False,
+    ),
+    ("full", 16): (
+        ["0x0.0p+0", "0x0.0p+0", "0x1.2f9556fc48ebbp-1", "0x0.0p+0", "0x0.0p+0",
+         "0x1.a0d552076e28bp-2"],
+        16, True, "0x1.0000000000000p-53", False,
+    ),
+    ("full", 17): (
+        ["0x0.0p+0", "0x0.0p+0", "0x1.2f9556fc48ebbp-1", "0x0.0p+0", "0x0.0p+0",
+         "0x1.a0d552076e28bp-2"],
+        17, True, "0x1.0000000000000p-53", False,
+    ),
+    ("deficient", 5): (
+        ["0x1.2fa08857c5d16p-1", "0x1.c61340331df11p-3", "0x0.0p+0",
+         "0x1.56faa2bafbd93p-3", "0x0.0p+0", "0x1.237fdd9677830p-6"],
+        5, False, "0x1.329ee8f527c60p-7", True,
+    ),
+    ("deficient", 16): (
+        ["0x1.498a8e21b8fabp-1", "0x1.2f94bfaac68ffp-2", "0x0.0p+0", "0x0.0p+0",
+         "0x0.0p+0", "0x1.eab1208e3bd62p-5"],
+        16, False, "0x1.c3b0067946800p-13", True,
+    ),
+    ("deficient", 17): (
+        ["0x1.499d193e28492p-1", "0x1.2f401b8312569p-2", "0x0.0p+0", "0x0.0p+0",
+         "0x0.0p+0", "0x1.ec2d9004e8ba2p-5"],
+        17, False, "0x1.cfd355a528800p-14", True,
+    ),
+    ("one", 5): (
+        ["0x1.0000000000000p+0"],
+        0, True, "0x0.0p+0", False,
+    ),
+}
+
+
 def test_max_iterations_reported():
     rng = np.random.default_rng(4)
     a = rng.normal(0, 1, (8, 6))
@@ -367,6 +409,18 @@ def test_max_iterations_reported():
     assert not diag.converged
     assert diag.iterations == 5
     assert w.weights.min() >= 0.0
+
+    systems = {
+        "full": system,
+        "deficient": make_system(rng.normal(0, 1, (3, 6)), rng.normal(0, 1, 3)),
+        # one unit with a zero column: rank 0, yet one feasible point
+        "one": make_system(np.zeros((2, 1)), [1.0, 2.0]),
+    }
+    for (name, max_iter), expected in MAX_ITER_SOLVES.items():
+        w, diag = solve_simplex_qp(systems[name], opts=SolverOptions(max_iter=max_iter))
+        got = ([float(x).hex() for x in w.weights], diag.iterations, diag.converged,
+               float(diag.projected_gradient_norm).hex(), diag.non_unique)
+        assert got == expected, (name, max_iter)
 
 
 def test_weight_vector_validation():
