@@ -17,7 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadConfigError, DimensionMismatchError, SingularGramError
+from .errors import (
+    BadConfigError,
+    DimensionMismatchError,
+    MomentOverflowError,
+    SingularGramError,
+)
 from .moments import MomentSystem
 from .panel import PanelData
 
@@ -190,21 +195,34 @@ class _Quadratic:
         return float(ad @ self._vdot(ad))
 
     def lipschitz(self) -> float:
-        """2 * lambda_max(A'VA) by deterministic power iteration."""
+        """2 * lambda_max(A'VA) by deterministic power iteration.
+
+        Raises MomentOverflowError when the estimate for a nonzero A is 0 or
+        not finite: A'VA left the double range.
+        """
         n = self.a.shape[1]
         x = np.ones(n) / np.sqrt(n)
         lam = 0.0
         for _ in range(200):
             y = self.a.T @ self._vdot(self.a @ x)
             norm = float(np.linalg.norm(y))
-            if norm == 0.0:
-                return 0.0
+            if norm in (0.0, math.inf) and y.any():
+                # ||y||^2 left the double range, not ||y|| itself
+                top = float(np.abs(y).max())
+                norm = top * float(np.linalg.norm(y / top))
+            if norm == 0.0 or not math.isfinite(norm):
+                break
             x = y / norm
             lam_new = self.curvature(x)
             if abs(lam_new - lam) <= 1e-13 * max(lam_new, 1.0):
                 lam = lam_new
                 break
             lam = lam_new
+        if not math.isfinite(norm) or (lam == 0.0 and self.a.any()):
+            raise MomentOverflowError(
+                "the curvature estimate of a nonzero system is 0 or not finite; "
+                "rescale the outcomes"
+            )
         return 2.0 * lam
 
 

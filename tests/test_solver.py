@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synthctl.errors import DimensionMismatchError, SingularGramError
+from synthctl.errors import DimensionMismatchError, MomentOverflowError, SingularGramError
 from synthctl.estimators import Method, estimate_weights
 from synthctl.moments import MomentConfig, MomentSystem, build_system
 from synthctl.panel import PanelData
@@ -421,6 +421,28 @@ def test_max_iterations_reported():
         got = ([float(x).hex() for x in w.weights], diag.iterations, diag.converged,
                float(diag.projected_gradient_norm).hex(), diag.non_unique)
         assert got == expected, (name, max_iter)
+
+
+def test_curvature_outside_the_double_range():
+    # ||A'A x||^2 overflows at 1e100 and underflows at 1e-100, which used to
+    # read as a zero quadratic and return uniform weights as converged
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(0, 1, (6, 4)), rng.normal(0, 1, 6)
+    fits = [solve_simplex_qp(make_system(a * c, b * c)) for c in (1e-100, 1.0, 1e100)]
+    for w, diag in fits:
+        assert diag.converged and diag.iterations > 0
+        np.testing.assert_allclose(w.weights, fits[1][0].weights, rtol=0, atol=1e-8)
+    for c in (1e-200, 1e200):
+        with pytest.raises(MomentOverflowError):
+            solve_simplex_qp(make_system(a * c, b * c))
+
+    panel, _ = gen_mixture_dgp(figure2_spec().dgp_config(10, 1))
+    fits = [
+        estimate_weights(PanelData(units=panel.units, outcomes=panel.outcomes * c,
+                                   t0=panel.t0), Method.ABADIE, MomentConfig())[0]
+        for c in (1.0, 1e80)
+    ]
+    np.testing.assert_allclose(fits[1].weights, fits[0].weights, rtol=0, atol=1e-7)
 
 
 def test_weight_vector_validation():
