@@ -165,6 +165,11 @@ def _pooled_sd(blocks: list[np.ndarray], work: np.ndarray) -> float:
         np.multiply(dev, dev, out=dev)
         squares += dev.sum()
     sd = math.sqrt(squares / size)
+    if not math.isfinite(sd):
+        raise MomentOverflowError(
+            "pooled standard deviation of the outcomes is not finite; "
+            "use --scaling max_abs"
+        )
     return sd if sd > 0 else 1.0
 
 
@@ -219,10 +224,9 @@ def _assemble(
     scaled = np.empty((n_rows, width))
     work = np.empty((n_rows, width))
     blocks = _blocks(series[:, :window], width)
-    scale = _scale_for(blocks, cfg.scaling, work)
-
     orders = tuple(range(1, cfg.g + 1))
     with np.errstate(over="ignore", invalid="ignore"):
+        scale = _scale_for(blocks, cfg.scaling, work)
         rows = list(_power_means(blocks, scale, cfg.g, scaled, work))
         if cfg.include_covariates:
             if covariates is None:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synthctl import moments
+from synthctl.cli import main
 from synthctl.errors import (
     BadConfigError,
     DimensionMismatchError,
@@ -18,7 +19,8 @@ from synthctl.moments import (
     build_system,
     gmm_objective,
 )
-from synthctl.panel import PanelData
+from synthctl.panel import PanelData, save_panel
+from synthctl.simlab import figure2_spec, gen_mixture_dgp
 
 
 def panel_from(treated, untreated_rows, t0):
@@ -65,6 +67,23 @@ def test_overflow_still_raised_by_running_product():
     panel = panel_from(vals, [vals[::-1]], t0=4)
     with pytest.raises(MomentOverflowError):
         build_system(panel, MomentConfig(g=5, scaling="none"))
+
+
+def test_non_finite_pooled_sd_raises(tmp_path, capsys):
+    # past about 1e154 the pooled sum of squares overflows: the scale was
+    # inf, every scaled moment 0, and the fit uniform with exit 0
+    panel, _ = gen_mixture_dgp(figure2_spec().dgp_config(5, 2))
+    big = PanelData(units=panel.units, outcomes=panel.outcomes * 1e160, t0=panel.t0)
+    for builder in (build_system, build_demeaned_system):
+        with pytest.raises(MomentOverflowError, match="--scaling max_abs"):
+            builder(big, MomentConfig())
+        assert np.isfinite(builder(big, MomentConfig(scaling="max_abs")).a_matrix).all()
+    path = tmp_path / "big.csv"
+    save_panel(big, path)
+    argv = ["fit", "--input", str(path), "--treated", big.units[0],
+            "--t0", str(big.t0), "--output", str(tmp_path / "fit.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: OVERFLOW:")
 
 
 def _pow_reference(panel, system):
