@@ -399,10 +399,10 @@ def _smaller_sample(n_a: int, n_b: int) -> slice:
     return slice(0, n_a) if n_a <= n_b else slice(n_a, n_a + n_b)
 
 
-def mmd_squared(a, b, bandwidth: float | None = None) -> float:
+def mmd_squared(a, b) -> float:
     """Unbiased squared-MMD estimate with a Gaussian kernel (no test).
 
-    The bandwidth defaults to the median pairwise distance of the pooled
+    The bandwidth is the median pairwise distance of the pooled
     sample. Computed by ``_mmd2_splits`` like ``mmd_test``'s statistic, but
     for the observed split alone. On the gather path (see ``_gathers``) each
     split is summed on its own, so the result equals ``mmd_test``'s ``mmd2``
@@ -416,7 +416,7 @@ def mmd_squared(a, b, bandwidth: float | None = None) -> float:
     if n_a < 2 or n_b < 2:
         raise DimensionMismatchError("both samples need at least 2 observations")
     u, at, c = np.unique(np.concatenate([a, b]), return_inverse=True, return_counts=True)
-    h = _median_bandwidth(u, c) if bandwidth is None else float(bandwidth)
+    h = _median_bandwidth(u, c)
     observed = np.sort(at[_smaller_sample(n_a, n_b)])[None, :]
     return float(_mmd2_splits(u, c, h, observed)[0])
 
