@@ -54,3 +54,15 @@ def test_lists_files_and_text_that_differ(tmp_path):
     assert proc.returncode == 1
     assert "extra.json: only in NEW" in proc.stdout
     assert "  not numeric: method: 'dmscm' -> 'abadie'" in proc.stdout
+
+
+def test_inserted_csv_column_moves_no_values(tmp_path):
+    write_tree(tmp_path / "old", 0.5)
+    write_tree(tmp_path / "new", 0.5)
+    (tmp_path / "new" / "curve.csv").write_text("alpha,j,p\n-1.0,3,0.25\n1.0,3,0.5\n")
+    proc = run(tmp_path / "old", tmp_path / "new")
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert "curve.csv: 0 of 4 values moved" in lines
+    assert "  not numeric: column 'j' only in new" in lines
+    assert lines[-1] == "total: 0 of 9 values moved in 3 common files"

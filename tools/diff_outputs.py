@@ -4,7 +4,8 @@
 
 Every file found under both roots is compared number by number at each
 location: a JSON file by key path (list indices fold into ``[]``), a CSV
-file by column, any other text file by line pattern (the line with each
+file by column (by header name when each header's names are distinct, by
+position otherwise), any other text file by line pattern (the line with each
 number replaced by ``#``). For each file the report gives how many values
 it compared and how many moved; for each location where a value moved, how
 many moved, the largest absolute move and the largest relative move
@@ -78,13 +79,29 @@ def _walk_json(old, new, loc: str, tally: _Tally) -> None:
 def _walk_csv(old: str, new: str, tally: _Tally) -> None:
     old_rows = list(csv.reader(io.StringIO(old)))
     new_rows = list(csv.reader(io.StringIO(new)))
-    header = old_rows[0] if old_rows else []
-    tally.text("header", header, new_rows[0] if new_rows else [])
+    old_head = old_rows[0] if old_rows else []
+    new_head = new_rows[0] if new_rows else []
+    if len(set(old_head)) == len(old_head) and len(set(new_head)) == len(new_head):
+        # distinct names on both sides: match columns by name, so an inserted
+        # or dropped column moves no other column's values
+        for head, other, side in ((old_head, new_head, "old"), (new_head, old_head, "new")):
+            tally.other.extend(f"column {n!r} only in {side}" for n in head if n not in other)
+        columns = [(n, old_head.index(n), new_head.index(n))
+                   for n in old_head if n in new_head]
+        tally.text("header order", [c[0] for c in columns],
+                   [n for n in new_head if n in old_head])
+    else:
+        tally.text("header", old_head, new_head)
+        width = max(map(len, old_rows + new_rows), default=0)
+        columns = [(old_head[i] if i < len(old_head) else f"column {i + 1}", i, i)
+                   for i in range(width)]
     if len(old_rows) != len(new_rows):
         tally.other.append(f"rows: {len(old_rows) - 1} -> {len(new_rows) - 1}")
     for a_row, b_row in zip(old_rows[1:], new_rows[1:]):
-        for i, (a, b) in enumerate(zip(a_row, b_row)):
-            col = header[i] if i < len(header) else f"column {i + 1}"
+        for col, i, k in columns:
+            if i >= len(a_row) or k >= len(b_row):
+                continue
+            a, b = a_row[i], b_row[k]
             fa, fb = _as_float(a), _as_float(b)
             if fa is None or fb is None:
                 tally.text(col, a, b)
