@@ -113,15 +113,15 @@ def estimate_weights(
     method = Method(method)
     if not method.simplex:
         raise BadConfigError(f"method {method.value} has no simplex weights")
-    series = panel.outcomes[:, :window]
-    if method.demeaned:  # fp's rows and either intercept's means
-        means, series = demean_rows(series, window)
     if method.matches_moments:
         build = build_demeaned_system if method.demeaned else build_system
         system = build(panel, cfg, window=window)
-    else:
+    rows = panel.outcomes[:, :window]
+    if method.demeaned:  # fp's rows and either intercept's means
+        means, rows = demean_rows(rows, window)
+    if not method.matches_moments:
         # scale rows by 1/sqrt(window) so the objective is the mean squared error
-        rows = series / math.sqrt(window)
+        rows = rows / math.sqrt(window)
         system = MomentSystem(a_matrix=rows[1:].T, b_vector=rows[0], gamma_orders=(),
                               scale=1.0, demeaned=method.demeaned)
     wv, diag = solve_simplex_qp(system, None, opts)
