@@ -83,6 +83,8 @@ class MomentSystem:
     """Stacked empirical moments: rows are orders 1..G then covariates 1..K.
 
     The empirical moment discrepancy at weights w is ``b_vector - a_matrix @ w``.
+    The least-squares baselines pass their pre-period rows in this form too,
+    with no orders.
     """
 
     a_matrix: np.ndarray  # shape (G+K, J)
