@@ -66,3 +66,9 @@ def test_inserted_csv_column_moves_no_values(tmp_path):
     assert "curve.csv: 0 of 4 values moved" in lines
     assert "  not numeric: column 'j' only in new" in lines
     assert lines[-1] == "total: 0 of 9 values moved in 3 common files"
+    # the same values under reordered columns still differ in bytes
+    (tmp_path / "new" / "curve.csv").write_text("p,alpha\n0.25,-1.0\n0.5,1.0\n")
+    proc = run(tmp_path / "old", tmp_path / "new")
+    assert proc.returncode == 1
+    assert "curve.csv: 0 of 4 values moved" in proc.stdout.splitlines()
+    assert "header order: ['alpha', 'p'] -> ['p', 'alpha']" in proc.stdout
