@@ -3,8 +3,8 @@
 The objective Q(w) = (b - A w)' V (b - A w) is a convex quadratic, so a
 monotone accelerated projected-gradient method with exact Euclidean simplex
 projection is certifiably optimal and needs no external solver. The step size
-is 1/L with L estimated by power iteration on A'VA and grown deterministically
-whenever the quadratic upper bound it implies is violated.
+is 1/L, with L a fixed 5% above 2 * lambda_max(A'VA), the gradient's exact
+Lipschitz constant (Beck & Teboulle, 2009), so no step needs backtracking.
 
 Every system reaches the solver as a ``MomentSystem``: the moment rows of the
 density-matching fits, or the least-squares rows of the baselines.
@@ -195,38 +195,18 @@ class _Quadratic:
     def gradient(self, w: np.ndarray) -> np.ndarray:
         return -2.0 * (self.a.T @ self._vdot(self.b - self.a @ w))
 
-    def curvature(self, d: np.ndarray) -> float:
-        """d' (A'VA) d, the quadratic growth along direction d."""
-        ad = self.a @ d
-        return float(ad @ self._vdot(ad))
-
     def lipschitz(self) -> float:
-        """2 * lambda_max(A'VA) by deterministic power iteration.
+        """2 * lambda_max(A'VA), the Lipschitz constant of the gradient.
 
-        Raises MomentOverflowError when the estimate for a nonzero A is 0 or
-        not finite: A'VA left the double range.
+        Raises MomentOverflowError when A'VA is not finite, or its top
+        eigenvalue is 0 for a nonzero A: A'VA left the double range.
         """
-        n = self.a.shape[1]
-        x = np.ones(n) / np.sqrt(n)
-        lam = 0.0
-        for _ in range(200):
-            y = self.a.T @ self._vdot(self.a @ x)
-            norm = float(np.linalg.norm(y))
-            if norm in (0.0, math.inf) and y.any():
-                # ||y||^2 left the double range, not ||y|| itself
-                top = float(np.abs(y).max())
-                norm = top * float(np.linalg.norm(y / top))
-            if norm == 0.0 or not math.isfinite(norm):
-                break
-            x = y / norm
-            lam_new = self.curvature(x)
-            if abs(lam_new - lam) <= 1e-13 * max(lam_new, 1.0):
-                lam = lam_new
-                break
-            lam = lam_new
-        if not math.isfinite(norm) or (lam == 0.0 and self.a.any()):
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = self.a.T @ self._vdot(self.a)
+        lam = float(np.linalg.eigvalsh(h)[-1]) if np.isfinite(h).all() else math.inf
+        if not math.isfinite(lam) or (lam == 0.0 and self.a.any()):
             raise MomentOverflowError(
-                "the curvature estimate of a nonzero system is 0 or not finite; "
+                "the curvature of a nonzero system is 0 or not finite; "
                 "rescale the outcomes"
             )
         return 2.0 * lam
@@ -299,7 +279,11 @@ def solve_simplex_qp(
                 non_unique=non_unique,
             ),
         )
-    lip *= 1.05  # power iteration approaches the eigenvalue from below
+    # a 5% margin, far above eigvalsh's rounding (about 1e-14 relative), so
+    # every step keeps the quadratic upper bound; with the step at exactly
+    # 1/L the default conformal grid moves by 4e-10 and the README's dmscm
+    # fit takes 576 iterations instead of 432
+    lip *= 1.05
 
     f_w = q.value(w)
     y = w
@@ -318,14 +302,7 @@ def solve_simplex_qp(
         grad_y = -2.0 * (a_t @ (r_y if vm is None else vm @ r_y))
         step = _project(y - grad_y / lip)
         d = step - y
-        ad = a @ d
-        # grow the step bound if the quadratic majorization at y is violated
-        while ad @ (ad if vm is None else vm @ ad) > 0.5 * lip * float(d @ d) * (1.0 + 1e-12):
-            lip *= 2.0
-            step = _project(y - grad_y / lip)
-            d = step - y
-            ad = a @ d
-        r_step = r_y - ad
+        r_step = r_y - a @ d
         f_step = float(r_step @ (r_step if vm is None else vm @ r_step))
 
         # monotone acceleration: keep the best iterate seen so far; when a

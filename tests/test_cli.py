@@ -1,5 +1,8 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +190,28 @@ def test_fit_propagates_panel_errors(capsys):
     )
     assert code == 1
     assert "UNKNOWN_TREATED" in capsys.readouterr().err
+
+
+def test_overflow_exit_prints_only_its_error_line(tmp_path):
+    # a fresh interpreter, so numpy's floating-point warnings reach stderr
+    lines = (DATA / "toy_panel.csv").read_text().splitlines()
+    scaled = [lines[0]] + [
+        f"{unit},{period},{float(y) * 1e160!r}"
+        for unit, period, y in (line.split(",") for line in lines[1:])
+    ]
+    panel = tmp_path / "panel.csv"
+    panel.write_text("\n".join(scaled) + "\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-m", "synthctl.cli", "fit", "--input", str(panel),
+         "--treated", "treated", "--t0", "10", "--g", "1", "--scaling", "none"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 1
+    assert len(run.stderr.splitlines()) == 1
+    assert run.stderr.startswith("error: OVERFLOW: ")
 
 
 def test_conformal_reports_interval(tmp_path, capsys):

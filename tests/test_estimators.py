@@ -253,15 +253,15 @@ FIT_METHOD_GOLDEN = {
     ),
     Method.D2MSCM: (
         [
-            "0x0.0p+0", "0x1.0a02b48b1829bp-2", "0x0.0p+0",
-            "0x1.430f345df594ep-3", "0x0.0p+0", "0x1.ab2ce297543e4p-3",
-            "0x0.0p+0", "0x0.0p+0", "0x1.7edf3ffa42ecep-2",
+            "0x0.0p+0", "0x1.0a02b47ec801dp-2", "0x0.0p+0",
+            "0x1.430f348721ee2p-3", "0x0.0p+0", "0x1.ab2ce27abf0d4p-3",
+            "0x0.0p+0", "0x0.0p+0", "0x1.7edf40004780ap-2",
             "0x0.0p+0",
         ],
-        "-0x1.0a9cd00c3a678p-1",
-        "a87d7b8d881bbc61fdaf3d5b439fcfb7ea1da06ae70c4c1e64ccf66c61c0b6a7",
-        "0x1.1736a2994d485p+3",
-        (152, "0x1.f30a662bd7fbcp-8", "0x1.56dbc00000000p-34", 9, True, True),
+        "-0x1.0a9ccf4d0b4f8p-1",
+        "a2a6fc781c888fdd56f70a425d35ae091ecc78a91354f0a1494539601cda5d5d",
+        "0x1.1736a299a18e4p+3",
+        (133, "0x1.f30a662bd7fbcp-8", "0x1.0312c00000000p-35", 9, True, True),
     ),
     Method.ABADIE: (
         [

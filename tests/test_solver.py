@@ -11,6 +11,7 @@ from synthctl.simlab import figure2_spec, gen_mixture_dgp
 from synthctl.solver import (
     SolverOptions,
     WeightVector,
+    _Quadratic,
     ls_unconstrained,
     project_simplex,
     solve_simplex_qp,
@@ -233,12 +234,12 @@ def golden_systems():
 
 
 # (weights as float.hex, iterations, converged, non_unique), recorded with
-# numpy's bundled OpenBLAS on x86-64 before the solver loop was inlined
+# numpy's bundled OpenBLAS on x86-64
 GOLDEN_SOLVES = {
     "g2": (
-        ["0x1.0fbb9e9f25adap-3", "0x0.0p+0", "0x1.f2b3d950b115ap-2", "0x0.0p+0",
-         "0x0.0p+0", "0x1.024534dcab670p-2", "0x0.0p+0", "0x1.918691c3433c2p-9",
-         "0x1.000c2abf144c2p-3", "0x0.0p+0"],
+        ["0x1.0fbb9e5d91b22p-3", "0x0.0p+0", "0x1.f2b3d96aa487cp-2", "0x0.0p+0",
+         "0x0.0p+0", "0x1.024534da92ca5p-2", "0x0.0p+0", "0x1.9186946467f6ap-9",
+         "0x1.000c2ac66e09fp-3", "0x0.0p+0"],
         235, True, True,
     ),
     "g5": (
@@ -264,12 +265,12 @@ GOLDEN_SOLVES = {
         ["0x1.fecf46b934bafp-4", "0x0.0p+0", "0x1.f9cf23900ad50p-2", "0x0.0p+0",
          "0x0.0p+0", "0x1.05cd1e89bd53dp-2", "0x0.0p+0", "0x0.0p+0",
          "0x1.f8bf5441aa76bp-4", "0x1.400b93c005758p-9"],
-        128, True, False,
+        130, True, False,
     ),
     "full_v": (
-        ["0x1.e906b57a81c76p-4", "0x0.0p+0", "0x1.0663471cf557cp-1", "0x0.0p+0",
-         "0x0.0p+0", "0x1.0f37aa7e2e800p-2", "0x1.ee936291866e4p-8",
-         "0x1.b67527ce572fdp-7", "0x1.51488c82362d7p-4", "0x0.0p+0"],
+        ["0x1.e906b57a81cecp-4", "0x0.0p+0", "0x1.0663471cf557bp-1", "0x0.0p+0",
+         "0x0.0p+0", "0x1.0f37aa7e2e801p-2", "0x1.ee9362918688ap-8",
+         "0x1.b67527ce56e70p-7", "0x1.51488c82362e7p-4", "0x0.0p+0"],
         328, True, True,
     ),
 }
@@ -372,6 +373,17 @@ def test_rank_deficient_flags_non_unique():
     assert diag.final_objective <= 1e-18
 
 
+def test_rows_summing_to_zero_over_the_units():
+    # A'A's top eigenvector is orthogonal to the uniform start here
+    for a, b, expected in [
+        ([[1.0, -1.0]], [0.5], [0.75, 0.25]),
+        ([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]], [0.3, 0.1], [0.5, 0.3, 0.2]),
+    ]:
+        w, diag = solve_simplex_qp(make_system(a, b))
+        assert diag.converged
+        np.testing.assert_allclose(w.weights, expected, rtol=0, atol=1e-9)
+
+
 def test_zero_system_returns_uniform():
     system = make_system(np.zeros((2, 3)), np.zeros(2))
     w, diag = solve_simplex_qp(system)
@@ -385,9 +397,9 @@ def test_zero_system_returns_uniform():
 # with numpy's bundled OpenBLAS on x86-64
 MAX_ITER_SOLVES = {
     ("full", 5): (
-        ["0x0.0p+0", "0x0.0p+0", "0x1.2a16a04438282p-1", "0x1.8467a2f6a1ff7p-4",
-         "0x0.0p+0", "0x1.4ab8d6b9e72fep-2"],
-        5, False, "0x1.0062b93f23c08p-6", False,
+        ["0x0.0p+0", "0x0.0p+0", "0x1.2a16a04438282p-1", "0x1.8467a2f6a20c5p-4",
+         "0x0.0p+0", "0x1.4ab8d6b9e72cbp-2"],
+        5, False, "0x1.0062b93f23bd4p-6", False,
     ),
     ("full", 16): (
         ["0x0.0p+0", "0x0.0p+0", "0x1.2f9556fc48ebbp-1", "0x0.0p+0", "0x0.0p+0",
@@ -400,19 +412,19 @@ MAX_ITER_SOLVES = {
         17, True, "0x1.0000000000000p-53", False,
     ),
     ("deficient", 5): (
-        ["0x1.2fa08857c5d16p-1", "0x1.c61340331df11p-3", "0x0.0p+0",
-         "0x1.56faa2bafbd93p-3", "0x0.0p+0", "0x1.237fdd9677830p-6"],
-        5, False, "0x1.329ee8f527c60p-7", True,
+        ["0x1.2fa08857c5d10p-1", "0x1.c61340331def4p-3", "0x0.0p+0",
+         "0x1.56faa2bafbdbbp-3", "0x0.0p+0", "0x1.237fdd967788cp-6"],
+        5, False, "0x1.329ee8f527c00p-7", True,
     ),
     ("deficient", 16): (
-        ["0x1.498a8e21b8fabp-1", "0x1.2f94bfaac68ffp-2", "0x0.0p+0", "0x0.0p+0",
-         "0x0.0p+0", "0x1.eab1208e3bd62p-5"],
+        ["0x1.498a8e21b8facp-1", "0x1.2f94bfaac68ffp-2", "0x0.0p+0", "0x0.0p+0",
+         "0x0.0p+0", "0x1.eab1208e3bd4cp-5"],
         16, False, "0x1.c3b0067946800p-13", True,
     ),
     ("deficient", 17): (
-        ["0x1.499d193e28492p-1", "0x1.2f401b8312569p-2", "0x0.0p+0", "0x0.0p+0",
-         "0x0.0p+0", "0x1.ec2d9004e8ba2p-5"],
-        17, False, "0x1.cfd355a528800p-14", True,
+        ["0x1.499d193e28495p-1", "0x1.2f401b8312566p-2", "0x0.0p+0", "0x0.0p+0",
+         "0x0.0p+0", "0x1.ec2d9004e8b84p-5"],
+        17, False, "0x1.cfd355a52c400p-14", True,
     ),
     ("one", 5): (
         ["0x1.0000000000000p+0"],
@@ -444,14 +456,16 @@ def test_max_iterations_reported():
 
 
 def test_curvature_outside_the_double_range():
-    # ||A'A x||^2 overflows at 1e100 and underflows at 1e-100, which used to
-    # read as a zero quadratic and return uniform weights as converged
+    # A'A's entries stay in the double range up to scales 1e+-150 and leave
+    # it at 1e+-200, where the solver raises instead of fitting a zero or
+    # infinite quadratic
     rng = np.random.default_rng(3)
     a, b = rng.normal(0, 1, (6, 4)), rng.normal(0, 1, 6)
-    fits = [solve_simplex_qp(make_system(a * c, b * c)) for c in (1e-100, 1.0, 1e100)]
+    fits = [solve_simplex_qp(make_system(a * c, b * c))
+            for c in (1.0, 1e-150, 1e-100, 1e100, 1e150)]
     for w, diag in fits:
         assert diag.converged and diag.iterations > 0
-        np.testing.assert_allclose(w.weights, fits[1][0].weights, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(w.weights, fits[0][0].weights, rtol=0, atol=1e-8)
     for c in (1e-200, 1e200):
         with pytest.raises(MomentOverflowError):
             solve_simplex_qp(make_system(a * c, b * c))
@@ -463,6 +477,14 @@ def test_curvature_outside_the_double_range():
         for c in (1.0, 1e80)
     ]
     np.testing.assert_allclose(fits[1].weights, fits[0].weights, rtol=0, atol=1e-7)
+
+    # the step bound is an exact eigenvalue, so it scales as the square
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(0, 1, (30, 10)), rng.normal(0, 1, 30)
+    lip = _Quadratic(make_system(a, b), None).lipschitz()
+    for c in (1e-80, 1e-20, 1e20, 1e80):
+        scaled = _Quadratic(make_system(a * c, b * c), None).lipschitz() / c**2
+        assert scaled == pytest.approx(lip, rel=1e-12), c
 
 
 def test_weight_vector_validation():
