@@ -203,8 +203,8 @@ class _Quadratic:
         """
         with np.errstate(over="ignore", invalid="ignore"):
             h = self.a.T @ self._vdot(self.a)
-        lam = float(np.linalg.eigvalsh(h)[-1]) if np.isfinite(h).all() else math.inf
-        if not math.isfinite(lam) or (lam == 0.0 and self.a.any()):
+        lam = float(np.linalg.eigvalsh(h)[-1]) if np.isfinite(h).all() else 0.0
+        if lam == 0.0 and self.a.any():
             raise MomentOverflowError(
                 "the curvature of a nonzero system is 0 or not finite; "
                 "rescale the outcomes"
