@@ -1,10 +1,11 @@
 """Minimization of the quadratic moment objective over the probability simplex.
 
-The objective Q(w) = (b - A w)' V (b - A w) is a convex quadratic, so a
-monotone accelerated projected-gradient method with exact Euclidean simplex
-projection is certifiably optimal and needs no external solver. The step size
-is 1/L, with L a fixed 5% above 2 * lambda_max(A'VA), the gradient's exact
-Lipschitz constant (Beck & Teboulle, 2009), so no step needs backtracking.
+The objective (b - A w)' V (b - A w) is folded once into ||b - A w||^2, with
+WA and Wb in place of A and b (W'W is V's symmetric part). That convex
+quadratic is minimized by monotone accelerated projected gradient with exact
+simplex projection, stepping 1/L with L a fixed 5% above 2 * lambda_max(A'A),
+the gradient's exact Lipschitz constant (Beck & Teboulle, 2009). Near the
+optimum one least-squares solve on the active face, which is scale-free, ends it.
 
 Every system reaches the solver as a ``MomentSystem``: the moment rows of the
 density-matching fits, or the least-squares rows of the baselines.
@@ -171,79 +172,72 @@ def _project(v: np.ndarray) -> np.ndarray:
     return w
 
 
-class _Quadratic:
-    """Residual-form evaluation of Q(w) = (b - A w)' V (b - A w)."""
+def _fold(system: MomentSystem, v: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """(WA, Wb) with W'W = (V + V')/2, so ||Wb - WAw||^2 = (b - Aw)'V(b - Aw).
 
-    def __init__(self, system: MomentSystem, v: np.ndarray | None):
-        self.a = system.a_matrix
-        self.b = system.b_vector
-        if v is not None:
-            v = np.asarray(v, dtype=float)
-            if v.shape != (self.a.shape[0], self.a.shape[0]):
-                raise DimensionMismatchError(
-                    f"V has shape {v.shape}, expected {(self.a.shape[0],) * 2}"
-                )
-        self.v = v
-
-    def _vdot(self, r: np.ndarray) -> np.ndarray:
-        return r if self.v is None else self.v @ r
-
-    def value(self, w: np.ndarray) -> float:
-        r = self.b - self.a @ w
-        return float(r @ self._vdot(r))
-
-    def gradient(self, w: np.ndarray) -> np.ndarray:
-        return -2.0 * (self.a.T @ self._vdot(self.b - self.a @ w))
-
-    def lipschitz(self) -> float:
-        """2 * lambda_max(A'VA), the Lipschitz constant of the gradient.
-
-        Raises MomentOverflowError when A'VA is not finite, or its top
-        eigenvalue is 0 for a nonzero A: A'VA left the double range.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = self.a.T @ self._vdot(self.a)
-        lam = float(np.linalg.eigvalsh(h)[-1]) if np.isfinite(h).all() else 0.0
-        if lam == 0.0 and self.a.any():
-            raise MomentOverflowError(
-                "the curvature of a nonzero system is 0 or not finite; "
-                "rescale the outcomes"
-            )
-        return 2.0 * lam
-
-
-def _polish(q: _Quadratic, w: np.ndarray, f_w: float, lip: float, tol: float):
-    """Exact equality-constrained solve on the current support.
-
-    Near the optimum the projected-gradient iterates identify the active
-    face; solving the face's KKT system then lands on the exact minimizer in
-    one step. The candidate is accepted only if it stays on the simplex,
-    does not increase the objective, and certifies first-order optimality.
-    Callers only invoke this when the minimizer is unique (full-rank
-    systems), so the deterministic tie-break on flat faces is untouched.
+    The one place the solver reads V; None passes A and b through. A V that
+    is not finite, or has an eigenvalue below -(``matrix_rank``'s rounding
+    tolerance), makes no convex quadratic and raises BadConfigError.
     """
-    support = w > 0.0
-    k = int(support.sum())
-    if k == 0:
-        return None
-    a_s = q.a[:, support]
-    va_s = a_s if q.v is None else q.v @ a_s
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = 2.0 * (a_s.T @ va_s)
-    kkt[:k, k] = 1.0
-    kkt[k, :k] = 1.0
-    rhs = np.concatenate([2.0 * (va_s.T @ q.b), [1.0]])
-    sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+    a, b = system.a_matrix, system.b_vector
+    if v is None:
+        return a, b
+    v = np.asarray(v, dtype=float)
+    if v.shape != (a.shape[0], a.shape[0]):
+        raise DimensionMismatchError(
+            f"V has shape {v.shape}, expected {(a.shape[0],) * 2}"
+        )
+    if not np.isfinite(v).all():
+        raise BadConfigError("V must be finite")
+    lam, vecs = np.linalg.eigh(0.5 * (v + v.T))
+    if lam[0] < -np.abs(lam).max() * lam.size * np.finfo(float).eps:
+        raise BadConfigError(f"V is not positive semidefinite: eigenvalue {lam[0]:.6g}")
+    root = np.sqrt(np.maximum(lam, 0.0))[:, None] * vecs.T
+    return root @ a, root @ b
+
+
+def _lipschitz(a: np.ndarray) -> float:
+    """2 * lambda_max(A'A), the Lipschitz constant of the gradient of ||b - Aw||^2.
+
+    Raises MomentOverflowError when A'A is not finite, or its top
+    eigenvalue is 0 for a nonzero A: A'A left the double range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = a.T @ a
+    lam = float(np.linalg.eigvalsh(h)[-1]) if np.isfinite(h).all() else 0.0
+    if lam == 0.0 and a.any():
+        raise MomentOverflowError(
+            "the curvature of a nonzero system is 0 or not finite; "
+            "rescale the outcomes"
+        )
+    return 2.0 * lam
+
+
+def _polish(a: np.ndarray, b: np.ndarray, w: np.ndarray, f_w: float, f_start: float,
+            lip: float, tol: float):
+    """Exact least-squares solve on the current support, or None.
+
+    Near the optimum the iterates identify the active face, and one solve
+    on it lands on the minimizer. The last support unit's weight is 1 minus
+    the others' (the null-space method, Nocedal & Wright, 2006, 16.2), so
+    the solve and its acceptance are scale-free. Only a unique minimizer is
+    polished, so flat faces keep the uniform-start tie-break.
+    """
+    support = np.flatnonzero(w > 0.0)
+    rest, last = support[:-1], support[-1]
+    a_last = a[:, last]
+    sol = np.linalg.lstsq(a[:, rest] - a_last[:, None], b - a_last, rcond=None)[0]
     candidate = np.zeros_like(w)
-    candidate[support] = sol[:k]
-    if candidate.min() < -1e-9 or abs(candidate.sum() - 1.0) > 1e-6:
+    candidate[rest] = sol
+    candidate[last] = 1.0 - sol.sum()
+    if candidate.min() < -1e-9:
         return None
     candidate = _project(candidate)
-    f_c = q.value(candidate)
-    if f_c > f_w + 1e-12 * max(f_w, 1.0):
-        return None
-    pg = float(np.abs(candidate - _project(candidate - q.gradient(candidate) / lip)).max())
-    if pg > tol:
+    r = b - a @ candidate
+    f_c = float(r @ r)
+    grad = -2.0 * (a.T @ r)
+    pg = float(np.abs(candidate - _project(candidate - grad / lip)).max())
+    if f_c > f_w + 1e-12 * f_start or pg > tol:
         return None
     return candidate, f_c, pg
 
@@ -256,54 +250,44 @@ def solve_simplex_qp(
     """Minimize (b - A w)' V (b - A w) over the simplex.
 
     Deterministic: fixed uniform start, fixed iteration schedule, no
-    randomness. When A is numerically rank-deficient the minimizer may be a
-    face of the simplex; the limit from the uniform start is returned and
-    ``non_unique`` is flagged in the diagnostics (uniqueness needs rank(A) = J).
+    randomness. When WA is numerically rank-deficient (rank below J) the
+    minimizer may be a face of the simplex; the limit from the uniform start
+    is returned and ``non_unique`` is flagged in the diagnostics.
     """
-    q = _Quadratic(system, v)
-    n = q.a.shape[1]
-    rank = int(np.linalg.matrix_rank(q.a))
+    a, b = _fold(system, v)
+    n = a.shape[1]
+    rank = int(np.linalg.matrix_rank(a))
     non_unique = 1 < n and rank < n  # one unit is one feasible point
     w = np.full(n, 1.0 / n)
-    lip = q.lipschitz() if n > 1 else 0.0
-    if lip <= 0.0:
-        # one unit, or the zero quadratic: every feasible point is optimal
-        return (
-            WeightVector(w),
-            SolveDiagnostics(
-                iterations=0,
-                final_objective=q.value(w),
-                projected_gradient_norm=0.0,
-                rank_estimate=rank,
-                converged=True,
-                non_unique=non_unique,
-            ),
-        )
+    lip = _lipschitz(a) if n > 1 else 0.0
+    r = b - a @ w
+    f_w = float(r @ r)
+    # one unit, or the zero quadratic: every feasible point is optimal
+    converged = lip <= 0.0
+    iterations, pg_norm = 0, 0.0
     # a 5% margin, far above eigvalsh's rounding (about 1e-14 relative), so
     # every step keeps the quadratic upper bound; with the step at exactly
     # 1/L the default conformal grid moves by 4e-10 and the README's dmscm
     # fit takes 576 iterations instead of 432
     lip *= 1.05
 
-    f_w = q.value(w)
+    f_start = f_w
     y = w
     t = 1.0
-    converged = False
     since_restart = 0
     stagnant = 0
     may_polish = not non_unique  # keep the uniform-start tie-break on flat faces
     # the loop's time goes to per-call overhead, not arithmetic, so the
-    # residual, gradient and values at y are evaluated inline on local
-    # names; A' stays a view of A, since a contiguous copy can change the
-    # BLAS summation order
-    a, a_t, b, vm = q.a, q.a.T, q.b, q.v
-    for iterations in range(1, opts.max_iter + 1):
+    # residual, gradient and values at y are evaluated inline; A' stays a
+    # view of A, since a contiguous copy can change the BLAS summation order
+    a_t = a.T
+    for iterations in range(1, 0 if converged else opts.max_iter + 1):
         r_y = b - a @ y
-        grad_y = -2.0 * (a_t @ (r_y if vm is None else vm @ r_y))
+        grad_y = -2.0 * (a_t @ r_y)
         step = _project(y - grad_y / lip)
         d = step - y
         r_step = r_y - a @ d
-        f_step = float(r_step @ (r_step if vm is None else vm @ r_step))
+        f_step = float(r_step @ r_step)
 
         # monotone acceleration: keep the best iterate seen so far; when a
         # step fails to improve and momentum has run a while, restart it
@@ -328,14 +312,15 @@ def solve_simplex_qp(
         # last iteration, which always tries the polish too
         last = iterations == opts.max_iter
         if last or np.abs(d).max() <= 4.0 * opts.tol or iterations % 16 == 0:
-            pg_norm = float(np.abs(w - _project(w - q.gradient(w) / lip)).max())
+            grad = -2.0 * (a_t @ (b - a @ w))
+            pg_norm = float(np.abs(w - _project(w - grad / lip)).max())
             if pg_norm <= opts.tol:
                 converged = True
                 break
             if may_polish and (last or pg_norm <= 100.0 * opts.tol or stagnant >= 300):
                 # the active face is very likely final: finish with one
                 # exact solve on that face
-                polished = _polish(q, w, f_w, lip, opts.tol)
+                polished = _polish(a, b, w, f_w, f_start, lip, opts.tol)
                 if polished is not None:
                     w, f_w, pg_norm = polished
                     converged = True
@@ -347,7 +332,7 @@ def solve_simplex_qp(
         WeightVector(w),
         SolveDiagnostics(
             iterations=iterations,
-            final_objective=max(f_w, 0.0),
+            final_objective=f_w,
             projected_gradient_norm=pg_norm,
             rank_estimate=rank,
             converged=converged,

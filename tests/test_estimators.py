@@ -234,22 +234,23 @@ def test_fit_result_serializes_against_schema():
 
 
 # fit_method on one seeded figure2 panel, recorded before the per-method
-# decisions moved into Method: float.hex of the weights, the intercept, a
-# sha256 over float.hex of the counterfactual, pre_fit_rmse, and the
-# diagnostics (iterations, final_objective, projected_gradient_norm,
+# decisions moved into Method, with the polished full-rank fits re-recorded
+# when the face polish went to residual form: float.hex of the weights, the
+# intercept, a sha256 over float.hex of the counterfactual, pre_fit_rmse,
+# and the diagnostics (iterations, final_objective, projected_gradient_norm,
 # rank_estimate, converged, non_unique)
 FIT_METHOD_GOLDEN = {
     Method.DMSCM: (
         [
-            "0x0.0p+0", "0x1.59d5612b8de5cp-2", "0x0.0p+0",
-            "0x1.03e3b561873e6p-3", "0x0.0p+0", "0x1.bb875d3e87778p-3",
-            "0x0.0p+0", "0x0.0p+0", "0x1.467515846abf3p-2",
+            "0x0.0p+0", "0x1.59d5612b8de53p-2", "0x0.0p+0",
+            "0x1.03e3b561873ecp-3", "0x0.0p+0", "0x1.bb875d3e87782p-3",
+            "0x0.0p+0", "0x0.0p+0", "0x1.467515846abf6p-2",
             "0x0.0p+0",
         ],
         None,
-        "4638a2fa66cf2e72c6ac688d8d1ad5ab5ba409e7a2f8e4a78e4806f6c8b0b6d7",
+        "234660704e8cfe1d6136da56f7f14e28d84ec44dcb64b2a8b60c257ea4acb9c5",
         "0x1.165b2e0b46aaep+3",
-        (128, "0x1.37f62e8df6236p-8", "0x1.0000000000000p-54", 10, True, False),
+        (128, "0x1.37f62e8df6233p-8", "0x1.0000000000000p-55", 10, True, False),
     ),
     Method.D2MSCM: (
         [
@@ -265,27 +266,27 @@ FIT_METHOD_GOLDEN = {
     ),
     Method.ABADIE: (
         [
-            "0x0.0p+0", "0x1.2b15e5f5521ddp-2", "0x0.0p+0",
-            "0x1.c83416b21af1ep-3", "0x1.57a5bd823d5d0p-3", "0x0.0p+0",
-            "0x1.2011976b75453p-3", "0x0.0p+0", "0x1.69e8c8758e302p-3",
+            "0x0.0p+0", "0x1.2b15e5f5521e8p-2", "0x0.0p+0",
+            "0x1.c83416b21af10p-3", "0x1.57a5bd823d5c9p-3", "0x0.0p+0",
+            "0x1.2011976b7544ap-3", "0x0.0p+0", "0x1.69e8c8758e310p-3",
             "0x0.0p+0",
         ],
         None,
-        "695babf76b1fa18157b754c88f7fd41d9b693b00fe50c65a2ca44d10ca2150d4",
+        "ab3bce047542b743e445bfe2c433dadd148e2a9dbc3d8a5f47d5a272713287e1",
         "0x1.091b0febd361ap+3",
-        (160, "0x1.128909d2985c2p+6", "0x1.8000000000000p-54", 10, True, False),
+        (160, "0x1.128909d2985c4p+6", "0x1.0000000000000p-54", 10, True, False),
     ),
     Method.FP_DEMEANED: (
         [
-            "0x0.0p+0", "0x1.2a3e6969878b1p-2", "0x0.0p+0",
-            "0x1.bc04d289aa704p-3", "0x1.580d535e3fc4ap-3", "0x0.0p+0",
-            "0x1.2382879cca910p-3", "0x0.0p+0", "0x1.73ee7fa83c243p-3",
+            "0x0.0p+0", "0x1.2a3e6969878aep-2", "0x0.0p+0",
+            "0x1.bc04d289aa6fap-3", "0x1.580d535e3fc45p-3", "0x0.0p+0",
+            "0x1.2382879cca923p-3", "0x0.0p+0", "0x1.73ee7fa83c240p-3",
             "0x0.0p+0",
         ],
-        "-0x1.14ebb2f094b80p-3",
-        "f8921805aa6ddfa36a3dfbc98204dec3309531cda9e93de09311f27d5dbca2b2",
+        "-0x1.14ebb2f094ca0p-3",
+        "cc3751d94df0b77eb908c370a99cffd6be94a8e148a381213271359b64be1af0",
         "0x1.0919c37da1814p+3",
-        (128, "0x1.12865951dc2fdp+6", "0x1.0000000000000p-53", 10, True, False),
+        (128, "0x1.12865951dc2fdp+6", "0x1.0000000000000p-55", 10, True, False),
     ),
     Method.OLS: (
         [

@@ -99,10 +99,10 @@ def test_treated_mean_matches_mixture_mean():
 
 
 GOLDEN_RECORDS = [
-    (3, 2, "dmscm", 0, 13809159900329438616, 6.207159437394334, 4.083379664732631, 0.2219218734541178),
-    (3, 2, "abadie", 0, 13809159900329438616, 3.891048293527883, 3.021341652663554, 0.19450648454653596),
-    (3, 4, "dmscm", 0, 13809159900329438616, 6.248310964634861, 4.222993862401839, 0.20917833038672717),
-    (3, 4, "abadie", 0, 13809159900329438616, 3.891048293527883, 3.021341652663554, 0.19450648454653596),
+    (3, 2, "dmscm", 0, 13809159900329438616, 6.207159437394335, 4.083379664732628, 0.22192187345411835),
+    (3, 2, "abadie", 0, 13809159900329438616, 3.891048293527884, 3.021341652663554, 0.19450648454653596),
+    (3, 4, "dmscm", 0, 13809159900329438616, 6.248310964634858, 4.222993862401838, 0.2091783303867269),
+    (3, 4, "abadie", 0, 13809159900329438616, 3.891048293527884, 3.021341652663554, 0.19450648454653596),
 ]
 
 
@@ -373,11 +373,12 @@ def test_theorem1_panel_matches_reference_bit_for_bit(spec):
 
 def test_theorem1_experiment_golden():
     # recorded from the broadcast-draw generator; gmm_mean re-recorded when
-    # the moment build went to blocks of periods (it moved by 3.9e-16)
+    # the moment build went to blocks of periods (it moved by 3.9e-16) and
+    # when the face polish went to residual form (4.4e-16)
     res = theorem1_experiment(Theorem1Spec(replications=3))
     assert [x.hex() for x in res["gmm_mean"]] == [
-        "0x1.fb90c8f04c903p-2",
-        "0x1.02379b87d9b7fp-1",
+        "0x1.fb90c8f04c8fcp-2",
+        "0x1.02379b87d9b83p-1",
     ]
     assert [x.hex() for x in res["ols_mean"]] == [
         "0x1.018621a3b5d24p-2",
