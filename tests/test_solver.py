@@ -12,7 +12,13 @@ from synthctl.errors import (
 from synthctl.estimators import Method, estimate_weights
 from synthctl.moments import MomentConfig, MomentSystem, build_system, gmm_objective
 from synthctl.panel import PanelData
-from synthctl.simlab import figure2_spec, gen_mixture_dgp
+from synthctl.seeding import derive_seed
+from synthctl.simlab import (
+    Theorem1Spec,
+    _theorem1_panel,
+    figure2_spec,
+    gen_mixture_dgp,
+)
 from synthctl.solver import (
     SolverOptions,
     WeightVector,
@@ -133,6 +139,17 @@ def test_projection_beats_grid(seed):
     assert ((w - v) ** 2).sum() <= ((oracle - v) ** 2).sum() + 1e-12
 
 
+def reference_clip(v):
+    """The reference projection's shifted and clipped vector, before the fix-up."""
+    n = v.shape[0]
+    u = np.sort(v)[::-1]
+    cssv = np.cumsum(u) - 1.0
+    ind = np.arange(1, n + 1)
+    rho = int(np.count_nonzero(u - cssv / ind > 0))
+    theta = cssv[rho - 1] / rho
+    return np.maximum(v - theta, 0.0)
+
+
 def reference_project_simplex(v):
     """The array-form projection the solver used before its list-based
     threshold search; the current one must match it bit for bit. A
@@ -145,13 +162,7 @@ def reference_project_simplex(v):
         raise DimensionMismatchError("projection input must be finite")
     if v.min() >= 0.0 and v.sum() == 1.0:
         return v.copy()
-    n = v.shape[0]
-    u = np.sort(v)[::-1]
-    cssv = np.cumsum(u) - 1.0
-    ind = np.arange(1, n + 1)
-    rho = int(np.count_nonzero(u - cssv / ind > 0))
-    theta = cssv[rho - 1] / rho
-    w = np.maximum(v - theta, 0.0)
+    w = reference_clip(v)
     # absorb the residual summation error so sum(w) == 1.0 bitwise
     for i in np.argsort(w)[::-1]:
         excess = w.sum() - 1.0
@@ -170,6 +181,7 @@ def projection_inputs():
     yield np.array([0.20596382785127584, -0.7940361721487241, -0.7940361721487241])
     yield np.array([0.5623976772929592, 0.3012921765535601] + [-0.06815507307674035] * 3)
     rng = np.random.default_rng(2008)
+    tie_rng = np.random.default_rng(2009)
     for n in range(1, 61):
         for scale in (1e-3, 1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3):
             for _ in range(3):
@@ -187,16 +199,32 @@ def projection_inputs():
         yield feasible
         yield feasible * (1.0 + 1e-15)
         yield np.full(n, 1.0 / n)
+        # tied largest entries among exact zeros: the clipped sum often
+        # misses 1.0, and the fix-up then walks equal entries in argsort order
+        for _ in range(5):
+            levels = np.append(tie_rng.normal(0.0, 1.0, 2), 0.0)
+            tied = levels[tie_rng.integers(0, 3, n)]
+            tied[tie_rng.choice(n, min(n, 2), replace=False)] = levels.max()
+            yield tied
 
 
 def test_projection_matches_array_reference_bitwise():
-    count = 0
+    count = tie_fixups = 0
     for v in projection_inputs():
         expected = reference_project_simplex(v)
         got = project_simplex(v)
         assert np.array_equal(got, expected), v
+        # the solver's momentum step relies on this: no -0.0 comes out
+        # unless one went in
+        if not np.signbit(v[v == 0.0]).any():
+            assert not np.signbit(got).any(), v
+        if v.min() < 0.0 or v.sum() != 1.0:
+            clipped = reference_clip(v)
+            tie_fixups += bool(clipped.sum() != 1.0 and (clipped == 0.0).any()
+                               and (clipped == clipped.max()).sum() > 1)
         count += 1
-    assert count == 2 + 60 * (7 * 6 + 5)
+    assert count == 2 + 60 * (7 * 6 + 5 + 5)
+    assert tie_fixups >= 200
 
 
 @pytest.mark.parametrize(
@@ -292,6 +320,80 @@ def test_golden_solves_bitwise():
         got = ([float(x).hex() for x in wv.weights], diag.iterations,
                diag.converged, diag.non_unique)
         assert got == GOLDEN_SOLVES[name], name
+
+
+def solver_exit_systems():
+    """One system per way the solver ends, each as (system, V)."""
+    spec = figure2_spec()
+    golden_panel, _ = gen_mixture_dgp(spec.dgp_config(10, 20231))
+    panel, _ = gen_mixture_dgp(spec.dgp_config(10, 0))
+    # the default conformal grid's point 37 for this panel at G = 2
+    adjusted = panel.treated_outcomes.copy()
+    adjusted[panel.t0:] -= float.fromhex("0x1.1907a74dd4584p+6")
+    null = panel.with_treated_outcomes(adjusted)
+    t1_spec = Theorem1Spec(replications=1)
+    t1_panel = _theorem1_panel(t1_spec, derive_seed(t1_spec.seed, 0))
+    base = dict(include_covariates=True, scaling="max_abs")
+    m = np.random.default_rng(77).normal(size=(8, 8))
+    return {
+        # full rank: ends on the face polish
+        "figure2_polish": (build_system(golden_panel, MomentConfig(g=5, **base)), None),
+        # a rank-deficient conformal refit over the whole span that stops
+        # making progress: the stagnation break, unconverged
+        "conformal_stagnant": (
+            build_system(null, MomentConfig(g=2), window=null.n_periods), None),
+        # rank-deficient, converged by the certificate after hundreds of steps
+        "dte_g4": (build_system(panel, MomentConfig(g=4)), None),
+        "theorem1": (
+            build_system(t1_panel, MomentConfig(g=t1_spec.g, scaling="pooled_sd")), None),
+        "full_v": (build_system(golden_panel, MomentConfig(g=3, **base)),
+                   m @ m.T / 8 + 0.1 * np.eye(8)),
+    }
+
+
+# (weights, final objective and projected gradient norm as float.hex,
+# iterations, converged, non_unique), recorded with numpy's bundled OpenBLAS
+# on x86-64
+SOLVER_EXITS = {
+    "figure2_polish": (
+        ["0x1.1d4b01a9e03e8p-3", "0x0.0p+0", "0x1.e9aa54c6dd0dap-2", "0x0.0p+0",
+         "0x0.0p+0", "0x1.052d72d2acf1fp-2", "0x0.0p+0", "0x1.d702f45fd2bc8p-8",
+         "0x1.ec9aaf001a590p-4", "0x0.0p+0"],
+        "0x1.79ca3027e342bp-11", "0x1.8000000000000p-53", 176, True, False,
+    ),
+    "conformal_stagnant": (
+        ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+         "0x1.f6bf922917f5dp-1", "0x0.0p+0", "0x0.0p+0", "0x1.280dbadd0147cp-6"],
+        "0x1.4ee68036b31c5p-4", "0x1.ebc5800000000p-33", 657, False, True,
+    ),
+    "dte_g4": (
+        ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.9a2913c8e1f32p-4", "0x0.0p+0",
+         "0x1.56ad84078f753p-2", "0x0.0p+0", "0x1.c5ed8c2dc1319p-2", "0x0.0p+0",
+         "0x1.f36aab61db71fp-4"],
+        "0x1.aacf89b478776p-6", "0x1.81989c0000000p-34", 786, True, True,
+    ),
+    "theorem1": (
+        ["0x1.fb23a64a1ebaep-2", "0x1.026e2cdaf0a29p-1"],
+        "0x1.1d626badf712cp-12", "0x0.0p+0", 112, True, False,
+    ),
+    "full_v": (
+        ["0x1.e906b57a81c9dp-4", "0x0.0p+0", "0x1.0663471cf5587p-1", "0x0.0p+0",
+         "0x0.0p+0", "0x1.0f37aa7e2e802p-2", "0x1.ee93629185f7ep-8",
+         "0x1.b67527ce56e6fp-7", "0x1.51488c8236363p-4", "0x0.0p+0"],
+        "0x1.bc52c0be2914fp-11", "0x1.80c46a0000000p-34", 328, True, True,
+    ),
+}
+
+
+def test_solver_exits_bitwise():
+    systems = solver_exit_systems()
+    assert set(systems) == set(SOLVER_EXITS)
+    for name, (system, v) in systems.items():
+        w, diag = solve_simplex_qp(system, v)
+        got = ([float(x).hex() for x in w.weights], float(diag.final_objective).hex(),
+               float(diag.projected_gradient_norm).hex(), diag.iterations,
+               diag.converged, diag.non_unique)
+        assert got == SOLVER_EXITS[name], name
 
 
 def test_solve_population_gaussian_moments():
