@@ -268,10 +268,15 @@ _METRICS = ("att_error", "mean_att_error", "weight_error")
 _STATS = ("median", "q25", "q75")
 
 
-def _quartiles(values: list[float]) -> tuple[float, float, float]:
-    """The median, 25% and 75% quantiles, in ``_STATS`` order."""
-    a = np.array(values)
-    return float(np.median(a)), float(np.quantile(a, 0.25)), float(np.quantile(a, 0.75))
+def _quartiles(records: list[ReplicationRecord]) -> dict[str, float]:
+    """Each of ``_METRICS``' median, 25% and 75% quantiles, named ``<metric>_<stat>``."""
+    m = np.array([[getattr(r, name) for name in _METRICS] for r in records])
+    stats = np.vstack([np.median(m, axis=0), np.quantile(m, [0.25, 0.75], axis=0)])
+    return {
+        f"{name}_{stat}": float(stats[i, k])
+        for k, name in enumerate(_METRICS)
+        for i, stat in enumerate(_STATS)
+    }
 
 
 @dataclass(frozen=True)
@@ -454,15 +459,10 @@ def run_replication_study(spec: StudySpec) -> ReplicationResult:
     for (j, g, method), ok in cells.items():
         if not ok:
             continue
-        stats = {
-            f"{name}_{stat}": value
-            for name in _METRICS
-            for stat, value in zip(_STATS, _quartiles([getattr(r, name) for r in ok]))
-        }
         mmds = [r.mmd_to_truth for r in ok if r.mmd_to_truth is not None]
         aggregates.append(
             CellAggregate(
-                j=j, g=g, method=method, n=len(ok), **stats,
+                j=j, g=g, method=method, n=len(ok), **_quartiles(ok),
                 mmd_median=float(np.median(mmds)) if mmds else None,
             )
         )

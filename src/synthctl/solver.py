@@ -131,10 +131,10 @@ def _project(v: np.ndarray) -> np.ndarray:
     floating-point operations in the same order as the array form
     ``cumsum(sort(v)[::-1]) - 1.0``: the cumulative sum adds left to right.
     """
-    total = v.sum()
+    total = np.add.reduce(v)
     if not math.isfinite(total) and not np.isfinite(v).all():
         raise DimensionMismatchError("projection input must be finite")
-    if total == 1.0 and v.min() >= 0.0:
+    if total == 1.0 and np.minimum.reduce(v) >= 0.0:
         return v.copy()
     cs = 0.0
     cssv = []
@@ -152,16 +152,16 @@ def _project(v: np.ndarray) -> np.ndarray:
     w = v - theta
     np.maximum(w, 0.0, out=w)
     # absorb the residual summation error into the largest entries that can
-    # take it; w.sum() stays numpy (pairwise from 8 entries), which defines
+    # take it; the sum stays numpy's (pairwise from 8 entries), which defines
     # that sum. A subtraction can round so that the re-summed total misses
     # 1.0 again, and once every entry has been tried the loop stops one ulp
     # away: the result sums to 1.0 within an ulp, not always bitwise
-    excess = w.sum() - 1.0
+    excess = np.add.reduce(w) - 1.0
     if excess != 0.0:
-        for i in np.argsort(w)[::-1]:
+        for i in w.argsort()[::-1].tolist():
             if w[i] - excess >= 0.0:
                 w[i] -= excess
-                excess = w.sum() - 1.0
+                excess = np.add.reduce(w) - 1.0
                 if excess == 0.0:
                     break
     # near the simplex theta is a few ulps over rho: the shift can round many
@@ -200,21 +200,22 @@ def _lipschitz(a: np.ndarray) -> float:
     """2 * lambda_max(A'A), the Lipschitz constant of the gradient of ||b - Aw||^2.
 
     Raises MomentOverflowError when A'A is not finite, or its top
-    eigenvalue is 0 for a nonzero A: A'A left the double range.
+    eigenvalue is below the smallest normal double for a nonzero A: A'A left
+    the double range, and a subnormal one has too few digits to step by.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         h = a.T @ a
     lam = float(np.linalg.eigvalsh(h)[-1]) if np.isfinite(h).all() else 0.0
-    if lam == 0.0 and a.any():
+    if lam < np.finfo(float).tiny and a.any():
         raise MomentOverflowError(
-            "the curvature of a nonzero system is 0 or not finite; "
+            "the curvature of a nonzero system is subnormal or not finite; "
             "rescale the outcomes"
         )
     return 2.0 * lam
 
 
 def _polish(a: np.ndarray, b: np.ndarray, w: np.ndarray, f_w: float, f_start: float,
-            lip: float, tol: float):
+            half_lip: float, tol: float):
     """Exact least-squares solve on the current support, or None.
 
     Near the optimum the iterates identify the active face, and one solve
@@ -235,8 +236,8 @@ def _polish(a: np.ndarray, b: np.ndarray, w: np.ndarray, f_w: float, f_start: fl
     candidate = _project(candidate)
     r = b - a @ candidate
     f_c = float(r @ r)
-    grad = -2.0 * (a.T @ r)
-    pg = float(np.abs(candidate - _project(candidate - grad / lip)).max())
+    moved = candidate - _project(candidate + (a.T @ r) / half_lip)
+    pg = float(np.maximum.reduce(np.abs(moved)))
     if f_c > f_w + 1e-12 * f_start or pg > tol:
         return None
     return candidate, f_c, pg
@@ -270,6 +271,10 @@ def solve_simplex_qp(
     # 1/L the default conformal grid moves by 4e-10 and the README's dmscm
     # fit takes 576 iterations instead of 432
     lip *= 1.05
+    # the gradient is -2 A'r, so a 1/L step from y is y + A'r / (L/2): the
+    # same real quotient, so the same double, since _lipschitz keeps L normal
+    # and L/2 is then exact
+    half_lip = 0.5 * lip
 
     f_start = f_w
     y = w
@@ -283,8 +288,7 @@ def solve_simplex_qp(
     a_t = a.T
     for iterations in range(1, 0 if converged else opts.max_iter + 1):
         r_y = b - a @ y
-        grad_y = -2.0 * (a_t @ r_y)
-        step = _project(y - grad_y / lip)
+        step = _project(y + (a_t @ r_y) / half_lip)
         d = step - y
         r_step = r_y - a @ d
         f_step = float(r_step @ r_step)
@@ -294,33 +298,38 @@ def solve_simplex_qp(
         # (ill-conditioned systems converge far faster with restarts)
         since_restart += 1
         stagnant = 0 if f_step < f_w else stagnant + 1
-        if f_step <= f_w:
-            w_new, f_new = step, f_step
-        else:
-            w_new, f_new = w, f_w
-        if f_step > f_w and since_restart >= 50:
-            y, t = w_new, 1.0
+        accepted = f_step <= f_w
+        if not accepted and since_restart >= 50:
+            y, t = w, 1.0
             since_restart = 0
         else:
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y = w_new + (t / t_new) * (step - w_new) + ((t - 1.0) / t_new) * (w_new - w)
+            # w_new + (t / t_new)(step - w_new) + ((t - 1) / t_new)(w_new - w)
+            # with w_new the step or w: one difference is exactly +0.0, and
+            # adding +0.0 moves no entry, since no iterate holds a -0.0 (the
+            # projection makes none, and x - x rounds to +0.0)
+            if accepted:
+                y = step + ((t - 1.0) / t_new) * (step - w)
+            else:
+                y = w + (t / t_new) * (step - w)
             t = t_new
-        w, f_w = w_new, f_new
+        if accepted:
+            w, f_w = step, f_step
 
         # the optimality certificate is priced at two extra products, so
         # confirm it periodically, once the iterate stops moving, and on the
         # last iteration, which always tries the polish too
         last = iterations == opts.max_iter
-        if last or np.abs(d).max() <= 4.0 * opts.tol or iterations % 16 == 0:
-            grad = -2.0 * (a_t @ (b - a @ w))
-            pg_norm = float(np.abs(w - _project(w - grad / lip)).max())
+        if last or iterations % 16 == 0 or np.maximum.reduce(np.abs(d)) <= 4.0 * opts.tol:
+            moved = w - _project(w + (a_t @ (b - a @ w)) / half_lip)
+            pg_norm = float(np.maximum.reduce(np.abs(moved)))
             if pg_norm <= opts.tol:
                 converged = True
                 break
             if may_polish and (last or pg_norm <= 100.0 * opts.tol or stagnant >= 300):
                 # the active face is very likely final: finish with one
                 # exact solve on that face
-                polished = _polish(a, b, w, f_w, f_start, lip, opts.tol)
+                polished = _polish(a, b, w, f_w, f_start, half_lip, opts.tol)
                 if polished is not None:
                     w, f_w, pg_norm = polished
                     converged = True

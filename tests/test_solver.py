@@ -628,11 +628,23 @@ def test_curvature_outside_the_double_range():
 
     # the step bound is an exact eigenvalue, so it scales as the square
     rng = np.random.default_rng(0)
-    a = rng.normal(0, 1, (30, 10))
+    a, b = rng.normal(0, 1, (30, 10)), rng.normal(0, 1, 30)
     lip = _lipschitz(a)
     for c in (1e-80, 1e-20, 1e20, 1e80):
         scaled = _lipschitz(a * c) / c**2
         assert scaled == pytest.approx(lip, rel=1e-12), c
+
+    # a subnormal curvature has too few digits to step by: at 1e-158 and
+    # 1e-160 (lambda_max 6.8e-315 and 6.8e-319) the fit stopped unconverged
+    # 7.3e-8 and 1.4e-4 away from the scale-1 weights; now it raises, and at
+    # 1e-154 (6.8e-307, normal) it still fits
+    w_1 = solve_simplex_qp(make_system(a, b))[0].weights
+    w_s, diag = solve_simplex_qp(make_system(a * 1e-154, b * 1e-154))
+    assert diag.converged
+    np.testing.assert_allclose(w_s.weights, w_1, rtol=0, atol=1e-15)
+    for c in (1e-158, 1e-160):
+        with pytest.raises(MomentOverflowError):
+            solve_simplex_qp(make_system(a * c, b * c))
 
 
 def test_weight_vector_validation():
