@@ -271,9 +271,9 @@ def solve_simplex_qp(
     # 1/L the default conformal grid moves by 4e-10 and the README's dmscm
     # fit takes 576 iterations instead of 432
     lip *= 1.05
-    # the gradient is -2 A'r, so a 1/L step from y is y + A'r / (L/2): the
-    # same real quotient, so the same double, since _lipschitz keeps L normal
-    # and L/2 is then exact
+    # the gradient is -2 A'r, so a 1/L step from y is y + A'r / (L/2), the
+    # same real quotient and so the same double: L is at least 2.1 times the
+    # smallest normal double (_lipschitz), so L/2 is exact
     half_lip = 0.5 * lip
 
     f_start = f_w
