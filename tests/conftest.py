@@ -1,3 +1,4 @@
+import importlib.util
 import io
 from pathlib import Path
 
@@ -7,6 +8,44 @@ import pytest
 from synthctl.panel import PanelData
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+
+_RECORDER = Path(__file__).resolve().parent.parent / "tools" / "record_golden.py"
+_spec = importlib.util.spec_from_file_location("record_golden", _RECORDER)
+recorder = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(recorder)
+
+
+def pytest_collection_modifyitems(items):
+    # every test that compares against a recorded file carries the golden
+    # mark, so `-k golden` selects them all
+    for item in items:
+        if "golden" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.golden)
+
+
+@pytest.fixture
+def golden(tmp_path):
+    """Compare ``name``, or every case under it, byte for byte with its recording.
+
+    ``name`` is a case of ``tools/record_golden.py`` or the group that
+    holds it (``"solves"``). Returns the fresh outputs by case.
+    """
+
+    def compare(name: str) -> dict[str, dict[str, bytes]]:
+        cases = [c for c in recorder.CASES if c == name or c.startswith(name + "/")]
+        assert cases, name
+        runs = {}
+        for case in cases:
+            workdir = tmp_path / case
+            workdir.mkdir(parents=True)
+            got = runs[case] = recorder.run_case(case, workdir)
+            want = recorder.read_case(case)
+            assert sorted(got) == sorted(want), case
+            for file in want:
+                assert got[file] == want[file], f"{case}/{file}"
+        return runs
+
+    return compare
 
 
 @pytest.fixture

@@ -647,24 +647,12 @@ def test_simulate_theorem1_rejects_settings_it_does_not_use(tmp_path, capsys, ex
     assert not out.exists()
 
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-
-
-def test_simulate_matches_golden_outputs(tmp_path):
-    # two J, two G and three methods; abadie's record is reused across G.
-    # The files were recorded before the cells were regrouped in one pass.
-    ini = tmp_path / "study.ini"
-    ini.write_text(
-        "[study]\nmethods = dmscm,abadie,d2mscm\nreplications = 3\nseed = 21\n"
-        "[dgp]\nj = 3,4\ng = 2,3\nt0 = 12\nt1 = 6\nk = 2\ntau = 5.0\n"
-    )
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(ini), "--output-dir", str(out)]) == 0
-    for name in ("aggregates.json", "figure.csv"):
-        golden = GOLDEN / "study_2j_2g_3m" / name
-        assert (out / name).read_bytes() == golden.read_bytes(), name
+def test_simulate_matches_golden_outputs(golden):
+    # simulate --config over two J, two G and three methods. The files were
+    # recorded before the cells were regrouped in one pass.
+    outputs = golden("studies/simulate_2j_2g_3m")["studies/simulate_2j_2g_3m"]
     # x is J here; with G beside it, each (J, G, method) cell has its own key
-    rows = (out / "figure.csv").read_text().strip().splitlines()[1:]
+    rows = outputs["files/out/figure.csv"].decode().strip().splitlines()[1:]
     keys = [tuple(row.split(",")[:3]) for row in rows]
     assert len(set(keys)) == len(keys) == 2 * 2 * 3
 

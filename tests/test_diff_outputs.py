@@ -72,3 +72,20 @@ def test_inserted_csv_column_moves_no_values(tmp_path):
     assert proc.returncode == 1
     assert "curve.csv: 0 of 4 values moved" in proc.stdout.splitlines()
     assert "header order: ['alpha', 'p'] -> ['p', 'alpha']" in proc.stdout
+
+
+def test_sizes_a_one_ulp_move_of_a_hex_float(tmp_path):
+    # the layout of tests/golden/'s records: floats as float.hex strings
+    for side, last in (("old", 0.5), ("new", 0.5 + 2.0**-53)):
+        (tmp_path / side).mkdir()
+        record = {"weights": [float.hex(0.5), float.hex(last)], "iterations": 7,
+                  "counterfactual_sha256": "ab"}
+        (tmp_path / side / "record.json").write_text(json.dumps(record))
+        (tmp_path / side / "stdout").write_text(f"objective {float.hex(last)}\n")
+    proc = run(tmp_path / "old", tmp_path / "new")
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert "record.json: 1 of 3 values moved" in lines
+    assert "  weights[]: 1 of 2 moved, max abs 1.11e-16, max rel 2.22e-16" in lines
+    assert "  objective #: 1 of 1 moved, max abs 1.11e-16, max rel 2.22e-16" in lines
+    assert lines[-1] == "total: 2 of 4 values moved in 2 common files"

@@ -1,4 +1,3 @@
-import hashlib
 import json
 
 import numpy as np
@@ -233,95 +232,9 @@ def test_fit_result_serializes_against_schema():
     assert payload["intercept"] is None
 
 
-# fit_method on one seeded figure2 panel, recorded before the per-method
-# decisions moved into Method, with the polished full-rank fits re-recorded
-# when the face polish went to residual form: float.hex of the weights, the
-# intercept, a sha256 over float.hex of the counterfactual, pre_fit_rmse,
-# and the diagnostics (iterations, final_objective, projected_gradient_norm,
-# rank_estimate, converged, non_unique)
-FIT_METHOD_GOLDEN = {
-    Method.DMSCM: (
-        [
-            "0x0.0p+0", "0x1.59d5612b8de53p-2", "0x0.0p+0",
-            "0x1.03e3b561873ecp-3", "0x0.0p+0", "0x1.bb875d3e87782p-3",
-            "0x0.0p+0", "0x0.0p+0", "0x1.467515846abf6p-2",
-            "0x0.0p+0",
-        ],
-        None,
-        "234660704e8cfe1d6136da56f7f14e28d84ec44dcb64b2a8b60c257ea4acb9c5",
-        "0x1.165b2e0b46aaep+3",
-        (128, "0x1.37f62e8df6233p-8", "0x1.0000000000000p-55", 10, True, False),
-    ),
-    Method.D2MSCM: (
-        [
-            "0x0.0p+0", "0x1.0a02b47ec801dp-2", "0x0.0p+0",
-            "0x1.430f348721ee2p-3", "0x0.0p+0", "0x1.ab2ce27abf0d4p-3",
-            "0x0.0p+0", "0x0.0p+0", "0x1.7edf40004780ap-2",
-            "0x0.0p+0",
-        ],
-        "-0x1.0a9ccf4d0b4f8p-1",
-        "a2a6fc781c888fdd56f70a425d35ae091ecc78a91354f0a1494539601cda5d5d",
-        "0x1.1736a299a18e4p+3",
-        (133, "0x1.f30a662bd7fbcp-8", "0x1.0312c00000000p-35", 9, True, True),
-    ),
-    Method.ABADIE: (
-        [
-            "0x0.0p+0", "0x1.2b15e5f5521e8p-2", "0x0.0p+0",
-            "0x1.c83416b21af10p-3", "0x1.57a5bd823d5c9p-3", "0x0.0p+0",
-            "0x1.2011976b7544ap-3", "0x0.0p+0", "0x1.69e8c8758e310p-3",
-            "0x0.0p+0",
-        ],
-        None,
-        "ab3bce047542b743e445bfe2c433dadd148e2a9dbc3d8a5f47d5a272713287e1",
-        "0x1.091b0febd361ap+3",
-        (160, "0x1.128909d2985c4p+6", "0x1.0000000000000p-54", 10, True, False),
-    ),
-    Method.FP_DEMEANED: (
-        [
-            "0x0.0p+0", "0x1.2a3e6969878aep-2", "0x0.0p+0",
-            "0x1.bc04d289aa6fap-3", "0x1.580d535e3fc45p-3", "0x0.0p+0",
-            "0x1.2382879cca923p-3", "0x0.0p+0", "0x1.73ee7fa83c240p-3",
-            "0x0.0p+0",
-        ],
-        "-0x1.14ebb2f094ca0p-3",
-        "cc3751d94df0b77eb908c370a99cffd6be94a8e148a381213271359b64be1af0",
-        "0x1.0919c37da1814p+3",
-        (128, "0x1.12865951dc2fdp+6", "0x1.0000000000000p-55", 10, True, False),
-    ),
-    Method.OLS: (
-        [
-            "-0x1.c357580852c00p-2", "0x1.27cba2e93557fp-1", "0x1.63c624cabd8a7p-5",
-            "0x1.0f19df9484483p-2", "0x1.9a492ae37f0fep-2", "-0x1.84313ccd0d2d8p-3",
-            "0x1.64ec50a35a97fp-2", "0x1.3982689e1af1ep-6", "0x1.1fabfc506ff89p-3",
-            "-0x1.e992fb73e83bcp-4",
-        ],
-        None,
-        "f90fd58477a48d55a9dcb660c0e61df75b9ae21606848f7b77928b34547951d0",
-        "0x1.f4496fd59bc7ap+2",
-        (0, "0x1.e8d778f5b098cp+5", "0x0.0p+0", 10, True, False),
-    ),
-}
-
-
-def test_fit_method_golden():
-    panel, _ = gen_mixture_dgp(figure2_spec().dgp_config(10, derive_seed(0, 0, 0)))
-    cfg = MomentConfig(g=5, include_covariates=True, scaling="max_abs")
-    assert set(FIT_METHOD_GOLDEN) == set(Method)
-    for method, (weights, intercept, counterfactual, rmse, diag) in FIT_METHOD_GOLDEN.items():
-        fit = fit_method(panel, method, cfg)
-        w, d = fit.weights, fit.diagnostics
-        assert fit.method is method
-        assert [float.hex(x) for x in w.weights.tolist()] == weights, method
-        assert (None if w.intercept is None else float.hex(w.intercept)) == intercept, method
-        digest = hashlib.sha256(
-            " ".join(map(float.hex, fit.counterfactual.tolist())).encode()
-        ).hexdigest()
-        assert digest == counterfactual, method
-        assert float.hex(fit.pre_fit_rmse) == rmse, method
-        assert (
-            d.iterations, float.hex(d.final_objective),
-            float.hex(d.projected_gradient_norm), d.rank_estimate, d.converged, d.non_unique,
-        ) == diag, method
+def test_fit_method_golden(golden):
+    # fit_method with every method on one seeded figure2 panel
+    assert set(golden("fits")) == {f"fits/{m.value}" for m in Method}
 
 
 def test_every_simplex_fit_hands_the_solver_a_moment_system(monkeypatch):

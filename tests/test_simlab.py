@@ -23,6 +23,8 @@ from synthctl.simlab import (
     theorem1_experiment,
 )
 
+from conftest import recorder
+
 
 def test_seed_derivation_properties():
     assert splitmix64(0) == splitmix64(0)
@@ -98,35 +100,8 @@ def test_treated_mean_matches_mixture_mean():
     assert abs(pre.mean() - population_mean) <= 4 * se
 
 
-GOLDEN_RECORDS = [
-    (3, 2, "dmscm", 0, 13809159900329438616, 6.207159437394335, 4.083379664732628, 0.22192187345411835),
-    (3, 2, "abadie", 0, 13809159900329438616, 3.891048293527884, 3.021341652663554, 0.19450648454653596),
-    (3, 4, "dmscm", 0, 13809159900329438616, 6.248310964634858, 4.222993862401838, 0.2091783303867269),
-    (3, 4, "abadie", 0, 13809159900329438616, 3.891048293527884, 3.021341652663554, 0.19450648454653596),
-]
-
-
-def golden_spec() -> StudySpec:
-    return StudySpec(
-        j_values=(3,),
-        g_values=(2, 4),
-        methods=(Method.DMSCM, Method.ABADIE),
-        replications=1,
-        t0=12,
-        t1=6,
-        k=2,
-        tau=5.0,
-        base_seed=314,
-    )
-
-
-def test_replication_study_reproduces_golden_record():
-    result = run_replication_study(golden_spec())
-    got = [
-        (r.j, r.g, r.method.value, r.replication, r.seed, r.att_error, r.mean_att_error, r.weight_error)
-        for r in result.records
-    ]
-    assert got == GOLDEN_RECORDS
+def test_replication_study_reproduces_golden_record(golden):
+    golden("studies/replication")
 
 
 def test_study_over_two_j_and_two_g_is_deterministic():
@@ -202,7 +177,7 @@ def test_study_fails_above_ten_percent(monkeypatch):
 
 
 def test_records_and_figure_csv_output():
-    result = run_replication_study(golden_spec())
+    result = run_replication_study(recorder.replication_spec())
     buf = io.StringIO()
     result.save_records_csv(buf)
     lines = buf.getvalue().strip().splitlines()
@@ -371,19 +346,8 @@ def test_theorem1_panel_matches_reference_bit_for_bit(spec):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_theorem1_experiment_golden():
-    # recorded from the broadcast-draw generator; gmm_mean re-recorded when
-    # the moment build went to blocks of periods (it moved by 3.9e-16) and
-    # when the face polish went to residual form (4.4e-16)
-    res = theorem1_experiment(Theorem1Spec(replications=3))
-    assert [x.hex() for x in res["gmm_mean"]] == [
-        "0x1.fb90c8f04c8fcp-2",
-        "0x1.02379b87d9b83p-1",
-    ]
-    assert [x.hex() for x in res["ols_mean"]] == [
-        "0x1.018621a3b5d24p-2",
-        "0x1.00230d79186f8p-2",
-    ]
+def test_theorem1_experiment_golden(golden):
+    golden("studies/theorem1")
 
 
 @pytest.mark.parametrize(

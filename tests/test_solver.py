@@ -10,15 +10,9 @@ from synthctl.errors import (
     SingularGramError,
 )
 from synthctl.estimators import Method, estimate_weights
-from synthctl.moments import MomentConfig, MomentSystem, build_system, gmm_objective
+from synthctl.moments import MomentConfig, MomentSystem, gmm_objective
 from synthctl.panel import PanelData
-from synthctl.seeding import derive_seed
-from synthctl.simlab import (
-    Theorem1Spec,
-    _theorem1_panel,
-    figure2_spec,
-    gen_mixture_dgp,
-)
+from synthctl.simlab import figure2_spec, gen_mixture_dgp
 from synthctl.solver import (
     SolverOptions,
     WeightVector,
@@ -245,155 +239,14 @@ def test_projection_finite_entries_with_overflowing_sum():
         np.testing.assert_array_equal(project_simplex(v), expected)
 
 
-def golden_systems():
-    spec = figure2_spec()
-    panel, _ = gen_mixture_dgp(spec.dgp_config(10, 20231))
-    base = dict(include_covariates=True, scaling="max_abs")
-    rng = np.random.default_rng(77)
-    m = rng.normal(size=(8, 8))
-    full_v = m @ m.T / 8 + 0.1 * np.eye(8)
-    cases = {
-        "g2": (Method.DMSCM, MomentConfig(g=2, **base)),
-        "g5": (Method.DMSCM, MomentConfig(g=5, **base)),
-        "g10": (Method.DMSCM, MomentConfig(g=10, **base)),
-        "abadie": (Method.ABADIE, MomentConfig(g=1)),
-    }
-    # a general V is no configuration value: these solve the built system directly
-    weighted = {
-        "diag_v": (MomentConfig(g=5, **base), np.diag(np.linspace(0.5, 3.0, 10))),
-        "full_v": (MomentConfig(g=3, **base), full_v),
-    }
-    return panel, cases, weighted
+def test_golden_solves_bitwise(golden):
+    # estimate_weights, and general-V solves, on one figure2 panel
+    golden("solves")
 
 
-# (weights as float.hex, iterations, converged, non_unique), recorded with
-# numpy's bundled OpenBLAS on x86-64
-GOLDEN_SOLVES = {
-    "g2": (
-        ["0x1.0fbb9e5d91b22p-3", "0x0.0p+0", "0x1.f2b3d96aa487cp-2", "0x0.0p+0",
-         "0x0.0p+0", "0x1.024534da92ca5p-2", "0x0.0p+0", "0x1.9186946467f6ap-9",
-         "0x1.000c2ac66e09fp-3", "0x0.0p+0"],
-        235, True, True,
-    ),
-    "g5": (
-        ["0x1.1d4b01a9e03e8p-3", "0x0.0p+0", "0x1.e9aa54c6dd0dap-2",
-         "0x0.0p+0", "0x0.0p+0", "0x1.052d72d2acf1fp-2",
-         "0x0.0p+0", "0x1.d702f45fd2bc8p-8", "0x1.ec9aaf001a590p-4",
-         "0x0.0p+0"],
-        176, True, False,
-    ),
-    "g10": (
-        ["0x1.2075bf4d4042ap-3", "0x0.0p+0", "0x1.e918240432db4p-2", "0x0.0p+0",
-         "0x0.0p+0", "0x1.05653b33f2b9ep-2", "0x1.1e32149a486ccp-9",
-         "0x1.9cd6bf4da7ad1p-8", "0x1.e26007eb3c688p-4", "0x0.0p+0"],
-        160, True, False,
-    ),
-    "abadie": (
-        ["0x1.5487b5903ca71p-2", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
-         "0x0.0p+0", "0x1.156b13a6c6a50p-6", "0x1.bed38f95e43d2p-2", "0x0.0p+0",
-         "0x1.b69c133ee5630p-3"],
-        176, True, False,
-    ),
-    "diag_v": (
-        ["0x1.fecf46b934b72p-4", "0x0.0p+0", "0x1.f9cf23900ad50p-2", "0x0.0p+0",
-         "0x0.0p+0", "0x1.05cd1e89bd53dp-2", "0x0.0p+0", "0x0.0p+0",
-         "0x1.f8bf5441aa7a5p-4", "0x1.400b93c005700p-9"],
-        128, True, False,
-    ),
-    "full_v": (
-        ["0x1.e906b57a81c9dp-4", "0x0.0p+0", "0x1.0663471cf5587p-1", "0x0.0p+0",
-         "0x0.0p+0", "0x1.0f37aa7e2e802p-2", "0x1.ee93629185f7ep-8",
-         "0x1.b67527ce56e6fp-7", "0x1.51488c8236363p-4", "0x0.0p+0"],
-        328, True, True,
-    ),
-}
-
-
-def test_golden_solves_bitwise():
-    panel, cases, weighted = golden_systems()
-    assert set(cases) | set(weighted) == set(GOLDEN_SOLVES)
-    solves = {name: estimate_weights(panel, method, cfg)
-              for name, (method, cfg) in cases.items()}
-    solves.update((name, solve_simplex_qp(build_system(panel, cfg), v))
-                  for name, (cfg, v) in weighted.items())
-    for name, (wv, diag) in solves.items():
-        got = ([float(x).hex() for x in wv.weights], diag.iterations,
-               diag.converged, diag.non_unique)
-        assert got == GOLDEN_SOLVES[name], name
-
-
-def solver_exit_systems():
-    """One system per way the solver ends, each as (system, V)."""
-    spec = figure2_spec()
-    golden_panel, _ = gen_mixture_dgp(spec.dgp_config(10, 20231))
-    panel, _ = gen_mixture_dgp(spec.dgp_config(10, 0))
-    # the default conformal grid's point 37 for this panel at G = 2
-    adjusted = panel.treated_outcomes.copy()
-    adjusted[panel.t0:] -= float.fromhex("0x1.1907a74dd4584p+6")
-    null = panel.with_treated_outcomes(adjusted)
-    t1_spec = Theorem1Spec(replications=1)
-    t1_panel = _theorem1_panel(t1_spec, derive_seed(t1_spec.seed, 0))
-    base = dict(include_covariates=True, scaling="max_abs")
-    m = np.random.default_rng(77).normal(size=(8, 8))
-    return {
-        # full rank: ends on the face polish
-        "figure2_polish": (build_system(golden_panel, MomentConfig(g=5, **base)), None),
-        # a rank-deficient conformal refit over the whole span that stops
-        # making progress: the stagnation break, unconverged
-        "conformal_stagnant": (
-            build_system(null, MomentConfig(g=2), window=null.n_periods), None),
-        # rank-deficient, converged by the certificate after hundreds of steps
-        "dte_g4": (build_system(panel, MomentConfig(g=4)), None),
-        "theorem1": (
-            build_system(t1_panel, MomentConfig(g=t1_spec.g, scaling="pooled_sd")), None),
-        "full_v": (build_system(golden_panel, MomentConfig(g=3, **base)),
-                   m @ m.T / 8 + 0.1 * np.eye(8)),
-    }
-
-
-# (weights, final objective and projected gradient norm as float.hex,
-# iterations, converged, non_unique), recorded with numpy's bundled OpenBLAS
-# on x86-64
-SOLVER_EXITS = {
-    "figure2_polish": (
-        ["0x1.1d4b01a9e03e8p-3", "0x0.0p+0", "0x1.e9aa54c6dd0dap-2", "0x0.0p+0",
-         "0x0.0p+0", "0x1.052d72d2acf1fp-2", "0x0.0p+0", "0x1.d702f45fd2bc8p-8",
-         "0x1.ec9aaf001a590p-4", "0x0.0p+0"],
-        "0x1.79ca3027e342bp-11", "0x1.8000000000000p-53", 176, True, False,
-    ),
-    "conformal_stagnant": (
-        ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
-         "0x1.f6bf922917f5dp-1", "0x0.0p+0", "0x0.0p+0", "0x1.280dbadd0147cp-6"],
-        "0x1.4ee68036b31c5p-4", "0x1.ebc5800000000p-33", 657, False, True,
-    ),
-    "dte_g4": (
-        ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.9a2913c8e1f32p-4", "0x0.0p+0",
-         "0x1.56ad84078f753p-2", "0x0.0p+0", "0x1.c5ed8c2dc1319p-2", "0x0.0p+0",
-         "0x1.f36aab61db71fp-4"],
-        "0x1.aacf89b478776p-6", "0x1.81989c0000000p-34", 786, True, True,
-    ),
-    "theorem1": (
-        ["0x1.fb23a64a1ebaep-2", "0x1.026e2cdaf0a29p-1"],
-        "0x1.1d626badf712cp-12", "0x0.0p+0", 112, True, False,
-    ),
-    "full_v": (
-        ["0x1.e906b57a81c9dp-4", "0x0.0p+0", "0x1.0663471cf5587p-1", "0x0.0p+0",
-         "0x0.0p+0", "0x1.0f37aa7e2e802p-2", "0x1.ee93629185f7ep-8",
-         "0x1.b67527ce56e6fp-7", "0x1.51488c8236363p-4", "0x0.0p+0"],
-        "0x1.bc52c0be2914fp-11", "0x1.80c46a0000000p-34", 328, True, True,
-    ),
-}
-
-
-def test_solver_exits_bitwise():
-    systems = solver_exit_systems()
-    assert set(systems) == set(SOLVER_EXITS)
-    for name, (system, v) in systems.items():
-        w, diag = solve_simplex_qp(system, v)
-        got = ([float(x).hex() for x in w.weights], float(diag.final_objective).hex(),
-               float(diag.projected_gradient_norm).hex(), diag.iterations,
-               diag.converged, diag.non_unique)
-        assert got == SOLVER_EXITS[name], name
+def test_solver_exits_bitwise(golden):
+    # one solve per way the solver ends
+    golden("solver_exits")
 
 
 def test_solve_population_gaussian_moments():
@@ -531,49 +384,7 @@ def test_zero_system_returns_uniform():
         assert diag.converged and diag.non_unique
 
 
-# (weights as float.hex, iterations, converged, projected gradient norm as
-# float.hex, non_unique) at the default tol: max_iter 16 ends on a periodic
-# certificate, 17 on the last iteration's certificate and polish; recorded
-# with numpy's bundled OpenBLAS on x86-64
-MAX_ITER_SOLVES = {
-    ("full", 5): (
-        ["0x0.0p+0", "0x0.0p+0", "0x1.2a16a04438282p-1", "0x1.8467a2f6a20c5p-4",
-         "0x0.0p+0", "0x1.4ab8d6b9e72cbp-2"],
-        5, False, "0x1.0062b93f23bd4p-6", False,
-    ),
-    ("full", 16): (
-        ["0x0.0p+0", "0x0.0p+0", "0x1.2f9556fc48ebbp-1", "0x0.0p+0", "0x0.0p+0",
-         "0x1.a0d552076e28ap-2"],
-        16, True, "0x1.0000000000000p-53", False,
-    ),
-    ("full", 17): (
-        ["0x0.0p+0", "0x0.0p+0", "0x1.2f9556fc48ebbp-1", "0x0.0p+0", "0x0.0p+0",
-         "0x1.a0d552076e28ap-2"],
-        17, True, "0x1.0000000000000p-53", False,
-    ),
-    ("deficient", 5): (
-        ["0x1.2fa08857c5d10p-1", "0x1.c61340331def4p-3", "0x0.0p+0",
-         "0x1.56faa2bafbdbbp-3", "0x0.0p+0", "0x1.237fdd967788cp-6"],
-        5, False, "0x1.329ee8f527c00p-7", True,
-    ),
-    ("deficient", 16): (
-        ["0x1.498a8e21b8facp-1", "0x1.2f94bfaac68ffp-2", "0x0.0p+0", "0x0.0p+0",
-         "0x0.0p+0", "0x1.eab1208e3bd4cp-5"],
-        16, False, "0x1.c3b0067946800p-13", True,
-    ),
-    ("deficient", 17): (
-        ["0x1.499d193e28495p-1", "0x1.2f401b8312566p-2", "0x0.0p+0", "0x0.0p+0",
-         "0x0.0p+0", "0x1.ec2d9004e8b84p-5"],
-        17, False, "0x1.cfd355a52c400p-14", True,
-    ),
-    ("one", 5): (
-        ["0x1.0000000000000p+0"],
-        0, True, "0x0.0p+0", False,
-    ),
-}
-
-
-def test_max_iterations_reported():
+def test_max_iterations_reported(golden):
     rng = np.random.default_rng(4)
     a = rng.normal(0, 1, (8, 6))
     system = make_system(a, rng.normal(0, 1, 8))
@@ -581,18 +392,9 @@ def test_max_iterations_reported():
     assert not diag.converged
     assert diag.iterations == 5
     assert w.weights.min() >= 0.0
-
-    systems = {
-        "full": system,
-        "deficient": make_system(rng.normal(0, 1, (3, 6)), rng.normal(0, 1, 3)),
-        # one unit with a zero column: rank 0, yet one feasible point
-        "one": make_system(np.zeros((2, 1)), [1.0, 2.0]),
-    }
-    for (name, max_iter), expected in MAX_ITER_SOLVES.items():
-        w, diag = solve_simplex_qp(systems[name], opts=SolverOptions(max_iter=max_iter))
-        got = ([float(x).hex() for x in w.weights], diag.iterations, diag.converged,
-               float(diag.projected_gradient_norm).hex(), diag.non_unique)
-        assert got == expected, (name, max_iter)
+    # the same system, a rank-deficient one and a single unit at max_iter
+    # 5, 16 and 17 under the default tol
+    golden("max_iter")
 
 
 def test_curvature_outside_the_double_range():

@@ -6,10 +6,12 @@ Every file found under both roots is compared number by number at each
 location: a JSON file by key path (list indices fold into ``[]``), a CSV
 file by column (by header name when each header's names are distinct, by
 position otherwise), any other text file by line pattern (the line with each
-number replaced by ``#``). For each file the report gives how many values
-it compared and how many moved; for each location where a value moved, how
-many moved, the largest absolute move and the largest relative move
-(|new - old| / |old|, ``inf`` when old is 0). Files found on one side only,
+number replaced by ``#``). A number may also be written as ``float.hex``
+writes it, in text and CSV as in a JSON string (the records under
+``tests/golden/`` keep every float so). For each file the report gives how
+many values it compared and how many moved; for each location where a value
+moved, how many moved, the largest absolute move and the largest relative
+move (|new - old| / |old|, ``inf`` when old is 0). Files found on one side only,
 and differences that are not numeric (text, keys, lengths), are listed too.
 The exit status is 0 when the trees hold the same values, 1 otherwise.
 
@@ -26,7 +28,8 @@ import re
 import sys
 from pathlib import Path
 
-_NUMBER = re.compile(r"[-+]?(?:inf|nan|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+_HEX = r"[-+]?(?:0x[0-9a-f]+(?:\.[0-9a-f]*)?p[-+]?\d+|inf|nan)"
+_NUMBER = re.compile(rf"{_HEX}|[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
 class _Tally:
@@ -44,13 +47,20 @@ class _Tally:
             self.other.append(f"{loc}: {old!r} -> {new!r}")
 
 
+def _hex_float(value):
+    """The float a ``float.hex`` string stands for, else None."""
+    if isinstance(value, str) and re.fullmatch(_HEX, value):
+        return float.fromhex(value)
+    return None
+
+
 def _as_float(value):
     if isinstance(value, bool):
         return None
     try:
         return float(value)
     except (TypeError, ValueError):
-        return None
+        return _hex_float(value)
 
 
 def _walk_json(old, new, loc: str, tally: _Tally) -> None:
@@ -67,7 +77,11 @@ def _walk_json(old, new, loc: str, tally: _Tally) -> None:
         for a, b in zip(old, new):
             _walk_json(a, b, f"{loc}[]", tally)
     elif isinstance(old, str) or isinstance(new, str):
-        tally.text(loc, old, new)
+        a, b = _hex_float(old), _hex_float(new)
+        if a is None or b is None:
+            tally.text(loc, old, new)
+        else:
+            tally.number(loc, a, b)
     else:
         a, b = _as_float(old), _as_float(new)
         if a is None or b is None:
@@ -119,7 +133,7 @@ def _walk_text(old: str, new: str, tally: _Tally) -> None:
             tally.text("line", a, b)
             continue
         for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b)):
-            tally.number(pattern, float(x), float(y))
+            tally.number(pattern, _as_float(x), _as_float(y))
 
 
 def compare_file(old: Path, new: Path) -> _Tally:
