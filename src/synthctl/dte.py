@@ -20,8 +20,9 @@ the P permutations is the sorted value indices of its smaller sample, n_s
 of them, and needs in addition the kernel sum within that sample, which
 one of two paths computes:
 
-- the product path multiplies each strip by the len(u) x (P + 1) matrix of
-  per-value split counts, about len(u)^2 / 2 multiply-adds per split;
+- the product path multiplies each strip by the matrix of per-value counts
+  of the distinct splits, len(u) rows and at most P + 1 columns, about
+  len(u)^2 / 2 multiply-adds per distinct split;
 - the gather path forms the n_s (n_s - 1) / 2 within-sample kernel entries
   of every split from the gathered values, in blocks of splits that hold at
   most one strip.
@@ -343,28 +344,40 @@ def _mmd2_splits(
     q comes from one of two paths, chosen by ``_gathers`` on the numbers of
     positions, n and n_s:
 
-    - product: each strip also adds diag(M' K M) for the len(u) x P matrix
-      M of per-value counts of each split, and t = r'M;
-      O(_STRIP_ELEMS + len(u) * P) memory.
+    - product: each strip also adds diag(M' K M) for the matrix M of
+      per-value counts with one column per distinct split, and t = r'M;
+      O(_STRIP_ELEMS + len(u) * P) memory. A repeated split is scored once
+      and its statistic indexed back, so it ties exactly whatever the BLAS
+      kernel rounds.
     - gather: q = n_s + 2 * (sum of K_ij over i < j in S), from the n_s
       gathered values of each split (``_within_pair_sums``), and
       t = sum(r[S]); O(_STRIP_ELEMS + n_s * P) memory. Splits that hold the
-      same values have equal rows, so their statistics tie exactly.
+      same values have equal rows, summed in the same order, so their
+      statistics tie exactly.
     """
     n_u = u.shape[0]
     n = int(c.sum())
-    count, n_s = splits.shape
+    n_s = splits.shape[1]
     n_l = n - n_s
     weights = c.astype(float)
-    members = None
+    members = inverse = None
     if not _gathers(n, n_s):
+        # one column per distinct split: a BLAS kernel may round equal
+        # columns apart, and their statistics must tie exactly. Rows are
+        # told apart by their bytes: the same distinct rows as
+        # np.unique(splits, axis=0), in about a fifth of its time
+        splits = np.ascontiguousarray(splits)
+        keys = splits.view(np.dtype((np.void, splits.itemsize * n_s))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        splits = splits[first]
+        count = splits.shape[0]
         flat = splits * count + np.arange(count)[:, None]
         members = np.bincount(flat.ravel(), minlength=n_u * count)
         members = members.reshape(n_u, count).astype(float)
     rows = max(1, _STRIP_ELEMS // n_u)
     scale = 2.0 * h * h
     r = np.zeros(n_u)
-    q = np.zeros(count)
+    q = np.zeros(splits.shape[0])
     for start in range(0, n_u, rows):
         stop = min(start + rows, n_u)
         width = stop - start
@@ -387,11 +400,12 @@ def _mmd2_splits(
     cross = t - q
     quad_l = weights @ r - 2.0 * t + q - n_l
     quad_s = q - n_s  # remove the unit diagonal
-    return (
+    stats = (
         quad_s / (n_s * (n_s - 1))
         + quad_l / (n_l * (n_l - 1))
         - 2.0 * cross / (n_s * n_l)
     )
+    return stats if inverse is None else stats[inverse]
 
 
 def _smaller_sample(n_a: int, n_b: int) -> slice:
@@ -407,8 +421,8 @@ def mmd_squared(a, b) -> float:
     for the observed split alone. On the gather path (see ``_gathers``) each
     split is summed on its own, so the result equals ``mmd_test``'s ``mmd2``
     bit for bit. On the product path the strip product with one split column
-    rounds differently than with ``mmd_test``'s permutations + 1 columns, so
-    the two can differ in the last bits (a few 1e-15 absolute).
+    rounds differently than with ``mmd_test``'s column per distinct split,
+    so the two can differ in the last bits (a few 1e-15 absolute).
     """
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
