@@ -38,7 +38,7 @@ def golden(tmp_path):
         for case in cases:
             workdir = tmp_path / case
             workdir.mkdir(parents=True)
-            got = runs[case] = recorder.run_case(case, workdir)
+            got = runs[case] = recorder.CASES[case](workdir)
             want = recorder.read_case(case)
             assert sorted(got) == sorted(want), case
             for file in want:

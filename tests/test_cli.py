@@ -648,8 +648,7 @@ def test_simulate_theorem1_rejects_settings_it_does_not_use(tmp_path, capsys, ex
 
 
 def test_simulate_matches_golden_outputs(golden):
-    # simulate --config over two J, two G and three methods. The files were
-    # recorded before the cells were regrouped in one pass.
+    # simulate --config over two J, two G and three methods
     outputs = golden("studies/simulate_2j_2g_3m")["studies/simulate_2j_2g_3m"]
     # x is J here; with G beside it, each (J, G, method) cell has its own key
     rows = outputs["files/out/figure.csv"].decode().strip().splitlines()[1:]

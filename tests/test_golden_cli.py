@@ -16,8 +16,8 @@ def test_corpus_holds_exactly_the_cases():
     files.remove("RECORDED_AT")
     owners = {next((c for c in recorder.CASES if f.startswith(c + "/")), f) for f in files}
     assert owners == set(recorder.CASES)
-    commit, core = (recorder.GOLDEN / "RECORDED_AT").read_text().split()
-    assert commit and core
+    # the commit and the OpenBLAS core
+    assert len((recorder.GOLDEN / "RECORDED_AT").read_text().split()) == 2
 
 
 @pytest.mark.parametrize("case", sorted(recorder.CLI))

@@ -46,7 +46,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -167,7 +167,6 @@ def _system(a, b) -> MomentSystem:
                         demeaned=False)
 
 
-@cache
 def _figure2_panel(seed: int):
     return gen_mixture_dgp(figure2_spec().dgp_config(10, seed))[0]
 
@@ -211,9 +210,8 @@ def _theorem1_solve() -> dict:
 def _max_iter_systems() -> dict[str, MomentSystem]:
     rng = np.random.default_rng(4)
     a = rng.normal(0, 1, (8, 6))
-    full = _system(a, rng.normal(0, 1, 8))
     return {
-        "full": full,
+        "full": _system(a, rng.normal(0, 1, 8)),
         "deficient": _system(rng.normal(0, 1, (3, 6)), rng.normal(0, 1, 3)),
         # one unit with a zero column: rank 0, yet one feasible point
         "one": _system(np.zeros((2, 1)), [1.0, 2.0]),
@@ -286,12 +284,8 @@ CASES = {
 }
 
 
-def run_case(name: str, workdir: Path) -> dict[str, bytes]:
-    return CASES[name](workdir)
-
-
 def read_case(name: str) -> dict[str, bytes]:
-    """A recorded case's files, named as ``run_case`` names them."""
+    """A recorded case's files, named as its run in ``CASES`` names them."""
     case_dir = GOLDEN / name
     return {
         p.relative_to(case_dir).as_posix(): p.read_bytes()
@@ -320,9 +314,9 @@ def _core() -> str:
 def record() -> None:
     for group in {name.split("/")[0] for name in CASES}:
         shutil.rmtree(GOLDEN / group, ignore_errors=True)
-    for name in CASES:
+    for name, run in CASES.items():
         with tempfile.TemporaryDirectory() as tmp:
-            outputs = run_case(name, Path(tmp))
+            outputs = run(Path(tmp))
         for rel, data in outputs.items():
             target = GOLDEN / name / rel
             target.parent.mkdir(parents=True, exist_ok=True)
