@@ -518,6 +518,10 @@ class Theorem1Spec:
             raise BadConfigError("need at least one replication")
 
 
+# periods per block of the theorem1 treated row: 64 KiB per float64 block
+_DRAW_BLOCK = 1 << 13
+
+
 def _theorem1_buffers(spec: Theorem1Spec) -> tuple[np.ndarray, np.ndarray]:
     """The outcome buffer and the unit-mean buffer of one theorem1 panel."""
     j = len(spec.w_star)
@@ -563,12 +567,22 @@ def _theorem1_panel(
     untreated += mu
     # unit c is picked when u lands in [cum[c-1], cum[c]): the spec's finite,
     # nonnegative weights keep cum nondecreasing, so counting the thresholds
-    # cum[:-1] at or below u in [0, 1) finds c, and never exceeds j - 1
+    # cum[:-1] at or below u in [0, 1) finds c, and never exceeds j - 1. The
+    # uniforms are drawn in blocks, one double per draw as one call of t
+    # takes them, so only the compact index comp spans the panel; the
+    # treated row is then formed block by block, entry for entry as before
     cum = np.cumsum(w / w.sum())
-    comp = (cum[:-1, None] <= rng.random(t)).sum(axis=0)
+    comp = np.empty(t, dtype=np.min_scalar_type(j - 1))
+    for lo in range(0, t, _DRAW_BLOCK):
+        u = rng.random(min(_DRAW_BLOCK, t - lo))
+        comp[lo : lo + u.size] = (cum[:-1, None] <= u).sum(axis=0)
     treated = rng.standard_normal(out=outcomes[0])
-    treated *= np.sqrt(s)[comp]
-    treated += mu[comp, np.arange(t)]
+    root_s = np.sqrt(s)
+    for lo in range(0, t, _DRAW_BLOCK):
+        block = treated[lo : lo + _DRAW_BLOCK]
+        picked = comp[lo : lo + block.size]
+        block *= root_s[picked]
+        block += mu[picked, np.arange(lo, lo + block.size)]
     units = ["treated"] + [f"u{i + 1}" for i in range(j)]
     # a view: PanelData marks the array it holds read-only
     return PanelData(units=tuple(units), outcomes=outcomes.view(), t0=spec.t0_large)

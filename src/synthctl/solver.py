@@ -3,8 +3,10 @@
 The objective (b - A w)' V (b - A w) is folded once into ||b - A w||^2, with
 WA and Wb in place of A and b (W'W is V's symmetric part). That convex
 quadratic is minimized by monotone accelerated projected gradient with exact
-simplex projection, stepping 1/L with L a fixed 5% above 2 * lambda_max(A'A),
-the gradient's exact Lipschitz constant (Beck & Teboulle, 2009). Near the
+simplex projection (Beck & Teboulle, 2009), stepping 1/L with L a fixed 5%
+above 2 * lambda_max(P A'A P), P = I - 11'/J: the gradient's exact Lipschitz
+constant along the simplex. Feasible moves sum to zero, so the level that all
+columns share never enters the step, the certificate or the polish. Near the
 optimum one least-squares solve on the active face, which is scale-free, ends it.
 
 Every system reaches the solver as a ``MomentSystem``: the moment rows of the
@@ -151,19 +153,29 @@ def _project(v: np.ndarray) -> np.ndarray:
     theta = np.float64(cssv[rho - 1]) / rho
     w = v - theta
     np.maximum(w, 0.0, out=w)
-    # absorb the residual summation error into the largest entries that can
-    # take it; the sum stays numpy's (pairwise from 8 entries), which defines
-    # that sum. A subtraction can round so that the re-summed total misses
-    # 1.0 again, and once every entry has been tried the loop stops one ulp
-    # away: the result sums to 1.0 within an ulp, not always bitwise
+    # absorb the residual summation error into the support, largest entry
+    # first, so the entries the threshold zeroed stay 0.0 (every entry is
+    # tried when none is positive, as when rho is 0 above); the sum stays
+    # numpy's (pairwise from 8 entries), which defines that sum. A whole
+    # excess can move an entry by several of its ulps and the re-summed total
+    # then misses 1.0 again, so a second pass steps one entry at a time by
+    # one ulp toward the target. Once every entry has been tried the result
+    # may still sum to a neighbour of 1.0: within an ulp, not always bitwise
     excess = np.add.reduce(w) - 1.0
     if excess != 0.0:
-        for i in w.argsort()[::-1].tolist():
+        order = w.argsort()[::-1].tolist()
+        support = [i for i in order if w[i] > 0.0] or order
+        for i in support:
             if w[i] - excess >= 0.0:
                 w[i] -= excess
                 excess = np.add.reduce(w) - 1.0
                 if excess == 0.0:
                     break
+        for i in support:
+            if excess == 0.0:
+                break
+            w[i] = np.nextafter(w[i], -math.inf if excess > 0.0 else math.inf)
+            excess = np.add.reduce(w) - 1.0
     # near the simplex theta is a few ulps over rho: the shift can round many
     # entries the same way and the fix-up then piles their error on one
     # entry, so an input within an ulp of 1.0 is the closer answer
@@ -197,21 +209,44 @@ def _fold(system: MomentSystem, v: np.ndarray | None) -> tuple[np.ndarray, np.nd
 
 
 def _lipschitz(a: np.ndarray) -> float:
-    """2 * lambda_max(A'A), the Lipschitz constant of the gradient of ||b - Aw||^2.
+    """The gradient's Lipschitz constant along the simplex, 2 * lambda_max(Ac'Ac).
+
+    Ac is A minus its row means. A move between simplex points sums to
+    zero, and the projection ignores any constant added to the gradient, so
+    the level the columns share is never stepped along: only the centred
+    Gram Ac'Ac = P A'A P (P = I - 11'/J) bounds the gradient's change over
+    feasible moves. Returns 0.0, the zero quadratic, when Ac is no larger
+    than the rounding that centring leaves in A, about (J + 2) eps max|A|
+    per entry: every column is then the same column and every feasible
+    point is optimal.
 
     Raises MomentOverflowError when A'A is not finite, or its top
     eigenvalue is below the smallest normal double for a nonzero A: A'A left
-    the double range, and a subnormal one has too few digits to step by.
+    the double range, and a subnormal one has too few digits to step by. The
+    centred bound gets the same check, so L/2 stays exact.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         h = a.T @ a
+        centred = a - a.mean(axis=1, keepdims=True)
+        h_c = centred.T @ centred
+    tiny = np.finfo(float).tiny
     lam = float(np.linalg.eigvalsh(h)[-1]) if np.isfinite(h).all() else 0.0
-    if lam < np.finfo(float).tiny and a.any():
+    if lam < tiny and a.any():
         raise MomentOverflowError(
             "the curvature of a nonzero system is subnormal or not finite; "
             "rescale the outcomes"
         )
-    return 2.0 * lam
+    # Ac'Ac's entries are at most trace(A'A), so only a system within a
+    # factor J of the double range overflows here
+    lam_c = float(np.linalg.eigvalsh(h_c)[-1]) if np.isfinite(h_c).all() else math.nan
+    if lam_c <= a.size * ((a.shape[1] + 2) * np.finfo(float).eps) ** 2 * lam:
+        return 0.0
+    if not lam_c >= tiny:
+        raise MomentOverflowError(
+            "the curvature along the simplex is subnormal or not finite; "
+            "rescale the outcomes"
+        )
+    return 2.0 * lam_c
 
 
 def _polish(a: np.ndarray, b: np.ndarray, w: np.ndarray, f_w: float, f_start: float,
@@ -261,15 +296,22 @@ def solve_simplex_qp(
     non_unique = 1 < n and rank < n  # one unit is one feasible point
     w = np.full(n, 1.0 / n)
     lip = _lipschitz(a) if n > 1 else 0.0
+    # on the simplex A w = Ac w + m, with Ac = A - m1' and m A's row means,
+    # so the level the columns share moves into b: the residual, the
+    # gradient and the objective are then formed at the scale of feasible
+    # moves, and an offset common to every column and to b leaves the fit
+    # as it is, up to the rounding of the centring
+    level = a.mean(axis=1)
+    a, b = a - level[:, None], b - level
     r = b - a @ w
     f_w = float(r @ r)
     # one unit, or the zero quadratic: every feasible point is optimal
     converged = lip <= 0.0
     iterations, pg_norm = 0, 0.0
     # a 5% margin, far above eigvalsh's rounding (about 1e-14 relative), so
-    # every step keeps the quadratic upper bound; with the step at exactly
-    # 1/L the default conformal grid moves by 4e-10 and the README's dmscm
-    # fit takes 576 iterations instead of 432
+    # every step keeps the quadratic upper bound; on the centred bound a step
+    # at exactly 1/L would take the README's dmscm fit from 512 iterations to
+    # 272 and move the default conformal grid by 1.3e-11
     lip *= 1.05
     # the gradient is -2 A'r, so a 1/L step from y is y + A'r / (L/2), the
     # same real quotient and so the same double: L is at least 2.1 times the

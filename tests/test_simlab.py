@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from synthctl.simlab import (
     MixtureDgpConfig,
     StudySpec,
     Theorem1Spec,
+    _theorem1_buffers,
     _theorem1_panel,
     appendix_d_spec,
     figure2_spec,
@@ -344,6 +346,22 @@ def test_theorem1_panel_matches_reference_bit_for_bit(spec):
         assert got.shape == want.shape
         # compared as bit patterns, so -0.0 and 0.0 differ
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_theorem1_draw_peak_is_bounded():
+    # one Theorem1Spec() draw into reused buffers: the panel's T-length
+    # uniforms, component index and gathers took 2.29 MiB; now the index
+    # (one byte a period) and PanelData's finiteness check span the panel
+    spec = Theorem1Spec()
+    buffers = _theorem1_buffers(spec)
+    _theorem1_panel(spec, 1, buffers)
+    tracemalloc.start()
+    try:
+        _theorem1_panel(spec, 2, buffers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**19
 
 
 def test_theorem1_experiment_golden(golden):

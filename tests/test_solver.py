@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synthctl.errors import (
@@ -60,6 +60,9 @@ def test_projection_examples():
         st.floats(-50, 50, allow_nan=False, allow_infinity=False), min_size=1, max_size=9
     )
 )
+# the whole excess moved a support entry by several ulps each time, and the
+# fix-up then put 2**-53 on both zeroed entries and ended at 1 + 2**-52
+@example([0.0] * 6 + [-1.0, -1.0, -0.125])
 def test_projection_idempotent_exactly(vals):
     v = np.array(vals)
     once = project_simplex(v)
@@ -157,13 +160,22 @@ def reference_project_simplex(v):
     if v.min() >= 0.0 and v.sum() == 1.0:
         return v.copy()
     w = reference_clip(v)
-    # absorb the residual summation error so sum(w) == 1.0 bitwise
-    for i in np.argsort(w)[::-1]:
+    # absorb the residual summation error in the support (every entry when
+    # none is positive): the whole excess on one entry, largest first, then
+    # one ulp on one entry at a time
+    order = np.argsort(w)[::-1]
+    support = order[w[order] > 0.0] if (w > 0.0).any() else order
+    for i in support:
         excess = w.sum() - 1.0
         if excess == 0.0:
             break
         if w[i] - excess >= 0.0:
             w[i] -= excess
+    for i in support:
+        excess = w.sum() - 1.0
+        if excess == 0.0:
+            break
+        w[i] = np.nextafter(w[i], -np.inf if excess > 0.0 else np.inf)
     if abs(v.sum() - 1.0) <= 2.0**-52 and v.min() >= 0.0 and np.abs(w - v).max() > 2.0**-51:
         return v.copy()
     return w
@@ -369,6 +381,48 @@ def test_rows_summing_to_zero_over_the_units():
         w, diag = solve_simplex_qp(make_system(a, b))
         assert diag.converged
         np.testing.assert_allclose(w.weights, expected, rtol=0, atol=1e-9)
+
+
+def offset_systems():
+    """Random systems, each with the offset direction v that tests add."""
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        yield rng.normal(size=(8, 5)), rng.normal(size=8), rng.normal(size=8)
+
+
+def test_offset_shared_by_every_column_leaves_the_fit():
+    # adding c v to every column of A and to b adds c v to A w - b for no w
+    # on the simplex; stepped by the full curvature, which grows as c^2, the
+    # fits took 32-64 iterations at c = 0, 160-640 at 10 and 7,088-16,272
+    # at 1e3, and at 1e4 two of them stopped unconverged 0.05 and 0.26 off
+    for a, b, v in offset_systems():
+        w_0, d_0 = solve_simplex_qp(make_system(a, b))
+        assert d_0.converged
+        for c in (10.0, 1e2, 1e3, 1e4):
+            w, diag = solve_simplex_qp(make_system(a + c * v[:, None], b + c * v))
+            assert diag.converged, c
+            assert diag.iterations <= 2 * d_0.iterations, c
+            np.testing.assert_allclose(w.weights, w_0.weights, rtol=0, atol=1e-8)
+
+
+def test_large_offset_is_not_certified_off_the_minimizer():
+    # at c = 1e6 the full curvature hid the whole problem: every fit
+    # returned uniform weights, converged, after one iteration
+    for a, b, v in offset_systems():
+        w_0 = solve_simplex_qp(make_system(a, b))[0].weights
+        w, diag = solve_simplex_qp(make_system(a + 1e6 * v[:, None], b + 1e6 * v))
+        if diag.converged:
+            np.testing.assert_allclose(w.weights, w_0, rtol=0, atol=1e-6)
+
+
+def test_identical_columns_fit_uniform_weights():
+    # every feasible point is optimal; the centred curvature is rounding
+    # noise, which a step by its reciprocal would turn into a vertex
+    rng = np.random.default_rng(6)
+    column = rng.normal(size=6)
+    w, diag = solve_simplex_qp(make_system(np.tile(column[:, None], 5), rng.normal(size=6)))
+    np.testing.assert_array_equal(w.weights, np.full(5, 0.2))
+    assert diag.converged and diag.non_unique
 
 
 def test_zero_system_returns_uniform():
