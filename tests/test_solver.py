@@ -92,7 +92,7 @@ def assert_projection_contract(v):
 @given(st.integers(0, 2**32 - 1), st.sampled_from(NEAR_SIMPLEX_SIZES))
 def test_projection_contract_near_the_simplex(seed, n):
     # N(0, 0.1^2) entries sit near the simplex, where the sum fix-up most
-    # often stops one ulp away from 1.0 (about 0.8% of such vectors)
+    # often stops one ulp away from 1.0 (about 0.2% of such vectors)
     rng = np.random.default_rng(seed)
     for _ in range(20):
         assert_projection_contract(rng.normal(0.0, 0.1, n))
