@@ -570,7 +570,8 @@ def _theorem1_panel(
     # cum[:-1] at or below u in [0, 1) finds c, and never exceeds j - 1. The
     # uniforms are drawn in blocks, one double per draw as one call of t
     # takes them, so only the compact index comp spans the panel; the
-    # treated row is then formed block by block, entry for entry as before
+    # treated row is then formed block by block, each entry by the same two
+    # operations as a whole-row form
     cum = np.cumsum(w / w.sum())
     comp = np.empty(t, dtype=np.min_scalar_type(j - 1))
     for lo in range(0, t, _DRAW_BLOCK):

@@ -391,10 +391,11 @@ def offset_systems():
 
 
 def test_offset_shared_by_every_column_leaves_the_fit():
-    # adding c v to every column of A and to b adds c v to A w - b for no w
-    # on the simplex; stepped by the full curvature, which grows as c^2, the
-    # fits took 32-64 iterations at c = 0, 160-640 at 10 and 7,088-16,272
-    # at 1e3, and at 1e4 two of them stopped unconverged 0.05 and 0.26 off
+    # adding c v to every column of A and to b leaves A w - b as it is for
+    # every w on the simplex; stepped by the full curvature, which grows as
+    # c^2, the fits took 32-64 iterations at c = 0, 160-640 at 10 and
+    # 7,088-16,272 at 1e3, and at 1e4 two of them stopped unconverged 0.05
+    # and 0.26 off
     for a, b, v in offset_systems():
         w_0, d_0 = solve_simplex_qp(make_system(a, b))
         assert d_0.converged
@@ -416,13 +417,16 @@ def test_large_offset_is_not_certified_off_the_minimizer():
 
 
 def test_identical_columns_fit_uniform_weights():
-    # every feasible point is optimal; the centred curvature is rounding
-    # noise, which a step by its reciprocal would turn into a vertex
-    rng = np.random.default_rng(6)
-    column = rng.normal(size=6)
-    w, diag = solve_simplex_qp(make_system(np.tile(column[:, None], 5), rng.normal(size=6)))
-    np.testing.assert_array_equal(w.weights, np.full(5, 0.2))
-    assert diag.converged and diag.non_unique
+    # every feasible point is optimal; the row means of these columns round,
+    # so the centred curvature is rounding noise, and a step by its
+    # reciprocal gave (0.219, 0.219, 0.219, 0.219, 0.125), a face and a vertex
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        a = np.tile(rng.normal(size=6)[:, None], 5)
+        assert (a - a.mean(axis=1, keepdims=True)).any()
+        w, diag = solve_simplex_qp(make_system(a, rng.normal(size=6)))
+        np.testing.assert_array_equal(w.weights, np.full(5, 0.2))
+        assert diag.converged and diag.non_unique
 
 
 def test_zero_system_returns_uniform():
