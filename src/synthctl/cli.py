@@ -21,13 +21,14 @@ import functools
 import inspect
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .conformal import confidence_interval, default_grid, save_p_curve
 from .dte import bootstrap_counterfactual, check_probs, mmd_test, quantiles, save_draws
-from .errors import BadProbError, SynthctlError
+from .errors import BadProbError, NotConvergedWarning, SynthctlError
 from .estimators import Method, fit_method
 from .moments import SCALINGS, MomentConfig
 from .panel import SCHEMA_VERSION, PanelData, PanelSchema, load_panel
@@ -168,6 +169,33 @@ def _write_json(payload: dict, path) -> None:
             Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+def _warn_not_converged(unconverged: int, fits: int) -> None:
+    """One stderr line when any of the ``fits`` behind an output did not converge."""
+    if unconverged:
+        print(
+            f"WARN_NOT_CONVERGED: {unconverged} of {fits} fits did not converge; "
+            "their weights are not certified optimal",
+            file=sys.stderr,
+        )
+
+
+def _counting_unconverged(run):
+    """``run()``'s result and the NotConvergedWarnings it issued, counted.
+
+    Every other warning is passed on as if no one had recorded it.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", NotConvergedWarning)
+        result = run()
+    unconverged = 0
+    for w in caught:
+        if issubclass(w.category, NotConvergedWarning):
+            unconverged += 1
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return result, unconverged
+
+
 def cmd_fit(args) -> int:
     opts = _solver_options(args)
     panel = _load_panel_from_args(args)
@@ -180,6 +208,7 @@ def cmd_fit(args) -> int:
         print(f"intercept: {fit.weights.intercept:.6f}")
     print(f"pre_fit_rmse: {fit.pre_fit_rmse:.6f}")
     print(f"mean_post_att: {fit.mean_post_att():.6f}")
+    _warn_not_converged(int(not fit.diagnostics.converged), 1)
     return 0
 
 
@@ -199,7 +228,9 @@ def cmd_conformal(args) -> int:
         grid = np.linspace(args.grid_min, args.grid_max, args.grid_points)
     else:
         grid = default_grid(panel, fit, points=args.grid_points)
-    report = confidence_interval(panel, grid, args.level, estimator, cfg, opts)
+    report, unconverged = _counting_unconverged(
+        lambda: confidence_interval(panel, grid, args.level, estimator, cfg, opts)
+    )
     _write_json(report.to_json_dict(), args.output)
     if args.csv:
         with _writing(args.csv):
@@ -212,6 +243,8 @@ def cmd_conformal(args) -> int:
             "WARN_GRID_EDGE: acceptance region touches the grid boundary; widen the grid",
             file=sys.stderr,
         )
+    # the point fit and one refit per grid point
+    _warn_not_converged(unconverged + (not fit.diagnostics.converged), 1 + grid.size)
     return 0
 
 
@@ -260,6 +293,7 @@ def cmd_dte(args) -> int:
         )
         _write_json(report.to_json_dict(), args.mmd_out)
         print(f"mmd2: {report.mmd2:.6g} p_value: {report.p_value:.6g}")
+    _warn_not_converged(int(not fit.diagnostics.converged), 1)
     return 0
 
 

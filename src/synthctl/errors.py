@@ -73,3 +73,11 @@ class EmptyPostError(SynthctlError):
 
 class BadProbError(SynthctlError):
     code = "BAD_PROB"
+
+
+class NotConvergedWarning(UserWarning):
+    """A fit behind a result stopped before the solver certified its optimum.
+
+    Issued where a fit's diagnostics cannot travel with the result, as for a
+    conformal refit behind one p-value.
+    """

@@ -133,13 +133,16 @@ def _project(v: np.ndarray) -> np.ndarray:
     the threshold search runs on a Python list. It performs the same
     floating-point operations in the same order as the array form
     ``cumsum(sort(v)[::-1]) - 1.0``: the cumulative sum adds left to right.
+    The minimum and maximum below are read from lists too: a comparison is
+    exact, so they are numpy's values, at a fraction of a ufunc call's cost.
     """
     total = np.add.reduce(v)
     if not math.isfinite(total) and not np.isfinite(v).all():
         raise DimensionMismatchError("projection input must be finite")
-    if total == 1.0 and np.minimum.reduce(v) >= 0.0:
-        return v.copy()
     u = sorted(v.tolist(), reverse=True)
+    # u[-1] is v's smallest entry
+    if total == 1.0 and u[-1] >= 0.0:
+        return v.copy()
     cs = 0.0
     cssv = []
     rho = 0
@@ -165,12 +168,14 @@ def _project(v: np.ndarray) -> np.ndarray:
     # may still sum to a neighbour of 1.0: within an ulp, not always bitwise
     excess = np.add.reduce(w) - 1.0
     if excess != 0.0:
-        # descending, so the positive entries lead
+        # descending, so the positive entries lead; each entry is read once,
+        # from a list
         order = w.argsort()[::-1].tolist()
-        support = order[: np.count_nonzero(w)] or order
+        entries = w.tolist()
+        support = order[: len(entries) - entries.count(0.0)] or order
         for i in support:
-            if w[i] - excess >= 0.0:
-                w[i] -= excess
+            if entries[i] - excess >= 0.0:
+                w[i] = entries[i] - excess
                 excess = np.add.reduce(w) - 1.0
                 if excess == 0.0:
                     break
@@ -181,11 +186,11 @@ def _project(v: np.ndarray) -> np.ndarray:
             excess = np.add.reduce(w) - 1.0
     # near the simplex theta is a few ulps over rho: the shift can round many
     # entries the same way and the fix-up then piles their error on one
-    # entry, so an input within an ulp of 1.0 is the closer answer (u[-1] is
-    # v's smallest entry; the solver's inputs sum to 1.0 within rounding,
-    # since the centred gradient sums to zero, so this test runs on most)
+    # entry, so an input within an ulp of 1.0 is the closer answer (the
+    # solver's inputs sum to 1.0 within rounding, since the centred gradient
+    # sums to zero, so most of them reach this test)
     if (abs(total - 1.0) <= 2.0**-52 and u[-1] >= 0.0
-            and np.maximum.reduce(np.abs(w - v)) > 2.0**-51):
+            and max(map(abs, (w - v).tolist())) > 2.0**-51):
         return v.copy()
     return w
 
@@ -214,14 +219,14 @@ def _fold(system: MomentSystem, v: np.ndarray | None) -> tuple[np.ndarray, np.nd
     return root @ a, root @ b
 
 
-def _lipschitz(a: np.ndarray) -> float:
+def _lipschitz(a: np.ndarray, centred: np.ndarray) -> float:
     """The gradient's Lipschitz constant along the simplex, 2 * lambda_max(Ac'Ac).
 
-    Ac is A minus its row means. A move between simplex points sums to
-    zero, and the projection ignores any constant added to the gradient, so
-    the level the columns share is never stepped along: only the centred
-    Gram Ac'Ac = P A'A P (P = I - 11'/J) bounds the gradient's change over
-    feasible moves. Returns 0.0, the zero quadratic, when Ac is no larger
+    Ac, ``centred``, is A minus its row means. A move between simplex points
+    sums to zero, and the projection ignores any constant added to the
+    gradient, so the level the columns share is never stepped along: only the
+    centred Gram Ac'Ac = P A'A P (P = I - 11'/J) bounds the gradient's change
+    over feasible moves. Returns 0.0, the zero quadratic, when Ac is no larger
     than the rounding that centring leaves in A, about (J + 2) eps max|A|
     per entry: every column is then the same column and every feasible
     point is optimal.
@@ -233,7 +238,6 @@ def _lipschitz(a: np.ndarray) -> float:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         h = a.T @ a
-        centred = a - a.mean(axis=1, keepdims=True)
         h_c = centred.T @ centred
     tiny = np.finfo(float).tiny
     lam = float(np.linalg.eigvalsh(h)[-1]) if np.isfinite(h).all() else 0.0
@@ -275,10 +279,12 @@ def _polish(a: np.ndarray, b: np.ndarray, w: np.ndarray, f_w: float, f_start: fl
     if candidate.min() < -1e-9:
         return None
     candidate = _project(candidate)
-    r = b - a @ candidate
-    f_c = float(r @ r)
-    moved = candidate - _project(candidate + (a.T @ r) / half_lip)
-    pg = float(np.maximum.reduce(np.abs(moved)))
+    r = b - a.dot(candidate)
+    f_c = r.dot(r)
+    stepped = a.T.dot(r)
+    stepped /= half_lip
+    stepped += candidate
+    pg = max(map(abs, (candidate - _project(stepped)).tolist()))
     if f_c > f_w + 1e-12 * f_start or pg > tol:
         return None
     return candidate, f_c, pg
@@ -301,16 +307,19 @@ def solve_simplex_qp(
     rank = int(np.linalg.matrix_rank(a))
     non_unique = 1 < n and rank < n  # one unit is one feasible point
     w = np.full(n, 1.0 / n)
-    lip = _lipschitz(a) if n > 1 else 0.0
     # on the simplex A w = Ac w + m, with Ac = A - m1' and m A's row means,
     # so the level the columns share moves into b: the residual, the
     # gradient and the objective are then formed at the scale of feasible
     # moves, and an offset common to every column and to b leaves the fit
-    # as it is, up to the rounding of the centring
-    level = a.mean(axis=1)
-    a, b = a - level[:, None], b - level
-    r = b - a @ w
-    f_w = float(r @ r)
+    # as it is, up to the rounding of the centring. A mean that overflows
+    # comes with an A'A that does, which _lipschitz reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        level = a.mean(axis=1)
+        centred = a - level[:, None]
+    lip = _lipschitz(a, centred) if n > 1 else 0.0
+    a, b = centred, b - level
+    r = b - a.dot(w)
+    f_w = r.dot(r)
     # one unit, or the zero quadratic: every feasible point is optimal
     converged = lip <= 0.0
     iterations, pg_norm = 0, 0.0
@@ -330,16 +339,30 @@ def solve_simplex_qp(
     since_restart = 0
     stagnant = 0
     may_polish = not non_unique  # keep the uniform-start tie-break on flat faces
+    checked = None  # the iterate whose certificate pg_norm holds
+    tol, max_iter = opts.tol, opts.max_iter
+    still = 4.0 * tol
     # the loop's time goes to per-call overhead, not arithmetic, so the
-    # residual, gradient and values at y are evaluated inline; A' stays a
-    # view of A, since a contiguous copy can change the BLAS summation order
+    # residual, gradient and values at y are evaluated inline, and each form
+    # below is the cheapest call for the same double:
+    # - A' stays a view of A, since a contiguous copy can change the BLAS
+    #   summation order;
+    # - .dot calls the same BLAS gemv and ddot as @, without the matmul
+    #   dispatch;
+    # - y + g / (L/2) is formed as (g / (L/2)) + y in place, and a momentum
+    #   update as c (x - w) + x: IEEE addition and multiplication commute;
+    # - a maximum of |entries| is read from a list: every comparison is
+    #   exact, so it is numpy's maximum without a ufunc call
     a_t = a.T
-    for iterations in range(1, 0 if converged else opts.max_iter + 1):
-        r_y = b - a @ y
-        step = _project(y + (a_t @ r_y) / half_lip)
+    for iterations in range(1, 0 if converged else max_iter + 1):
+        r_y = b - a.dot(y)
+        stepped = a_t.dot(r_y)
+        stepped /= half_lip
+        stepped += y
+        step = _project(stepped)
         d = step - y
-        r_step = r_y - a @ d
-        f_step = float(r_step @ r_step)
+        r_step = r_y - a.dot(d)
+        f_step = r_step.dot(r_step)
 
         # monotone acceleration: keep the best iterate seen so far; when a
         # step fails to improve and momentum has run a while, restart it
@@ -356,28 +379,36 @@ def solve_simplex_qp(
             # with w_new the step or w: one difference is exactly +0.0, and
             # adding +0.0 moves no entry, since no iterate holds a -0.0 (the
             # projection makes none, and x - x rounds to +0.0)
+            y = step - w
             if accepted:
-                y = step + ((t - 1.0) / t_new) * (step - w)
+                y *= (t - 1.0) / t_new
+                y += step
             else:
-                y = w + (t / t_new) * (step - w)
+                y *= t / t_new
+                y += w
             t = t_new
         if accepted:
             w, f_w = step, f_step
 
         # the optimality certificate is priced at two extra products, so
         # confirm it periodically, once the iterate stops moving, and on the
-        # last iteration, which always tries the polish too
-        last = iterations == opts.max_iter
-        if last or iterations % 16 == 0 or np.maximum.reduce(np.abs(d)) <= 4.0 * opts.tol:
-            moved = w - _project(w + (a_t @ (b - a @ w)) / half_lip)
-            pg_norm = float(np.maximum.reduce(np.abs(moved)))
-            if pg_norm <= opts.tol:
+        # last iteration, which always tries the polish too; an iterate that
+        # has not changed since the last check keeps its certificate
+        last = iterations == max_iter
+        if last or iterations % 16 == 0 or max(map(abs, d.tolist())) <= still:
+            if w is not checked:
+                stepped = a_t.dot(b - a.dot(w))
+                stepped /= half_lip
+                stepped += w
+                pg_norm = max(map(abs, (w - _project(stepped)).tolist()))
+                checked = w
+            if pg_norm <= tol:
                 converged = True
                 break
-            if may_polish and (last or pg_norm <= 100.0 * opts.tol or stagnant >= 300):
+            if may_polish and (last or pg_norm <= 100.0 * tol or stagnant >= 300):
                 # the active face is very likely final: finish with one
                 # exact solve on that face
-                polished = _polish(a, b, w, f_w, f_start, half_lip, opts.tol)
+                polished = _polish(a, b, w, f_w, f_start, half_lip, tol)
                 if polished is not None:
                     w, f_w, pg_norm = polished
                     converged = True
@@ -389,7 +420,7 @@ def solve_simplex_qp(
         WeightVector(w),
         SolveDiagnostics(
             iterations=iterations,
-            final_objective=f_w,
+            final_objective=float(f_w),
             projected_gradient_norm=pg_norm,
             rank_estimate=rank,
             converged=converged,

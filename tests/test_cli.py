@@ -273,6 +273,28 @@ def test_conformal_warns_on_grid_edge(tmp_path, capsys):
     assert "WARN_GRID_EDGE" in capsys.readouterr().err
 
 
+def test_unconverged_fits_warn_once(tmp_path, capsys):
+    # at --max-iter 5 the point fit and 34 of the 41 default-grid refits
+    # stop unconverged; before, conformal_p_value dropped each refit's
+    # diagnostics and no command said so. Exit codes are unchanged
+    common = ["--input", str(DATA / "toy_panel.csv"), "--treated", "treated", "--t0", "10",
+              "--g", "2"]
+    commands = [
+        (["conformal", *common, "--output", str(tmp_path / "r.json")], "35 of 42"),
+        (["fit", *common, "--output", str(tmp_path / "fit.json")], "1 of 1"),
+        (["dte", *common, "--L", "100", "--output", str(tmp_path / "q.json")], "1 of 1"),
+    ]
+    for argv, counts in commands:
+        assert main([*argv, "--max-iter", "5"]) == 0
+        warned = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("WARN_NOT_CONVERGED")]
+        assert warned == [f"WARN_NOT_CONVERGED: {counts} fits did not converge; "
+                          "their weights are not certified optimal"], argv
+        # every fit converges at the default --max-iter
+        assert main(argv) == 0
+        assert "WARN_NOT_CONVERGED" not in capsys.readouterr().err, argv
+
+
 def test_dte_outputs_deterministic(tmp_path, capsys):
     def run(tag):
         out_json = tmp_path / f"q{tag}.json"

@@ -14,11 +14,12 @@ from synthctl.conformal import (
     default_grid,
     save_p_curve,
 )
-from synthctl.errors import BadConfigError
+from synthctl.errors import BadConfigError, NotConvergedWarning
 from synthctl.estimators import Method, fit_method
 from synthctl.moments import MomentConfig
 from synthctl.panel import PanelData
 from synthctl.simlab import MixtureDgpConfig, gen_mixture_dgp
+from synthctl.solver import SolverOptions
 
 
 def exact_copy_panel(t=12, t0=8, seed=0):
@@ -68,6 +69,15 @@ def test_every_inference_estimator_produces_valid_p():
     for estimator in (Method.DMSCM, Method.D2MSCM, Method.ABADIE, Method.FP_DEMEANED):
         p = conformal_p_value(panel, NullSpec(0.0), estimator, MomentConfig(g=2))
         assert 1 / panel.n_periods <= p <= 1.0
+
+
+def test_unconverged_refit_warns():
+    cfg = MixtureDgpConfig(j=4, t0=12, t1=4, k=0, tau=0.0, stationary=True, seed=3)
+    panel, _ = gen_mixture_dgp(cfg)
+    with pytest.warns(NotConvergedWarning, match="refit did not converge"):
+        p = conformal_p_value(panel, NullSpec(0.0), Method.DMSCM, MomentConfig(g=2),
+                              SolverOptions(max_iter=1))
+    assert 1 / panel.n_periods <= p <= 1.0
 
 
 def test_vector_null_accepted():

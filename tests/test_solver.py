@@ -1,3 +1,8 @@
+import collections
+import dataclasses
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,8 +19,10 @@ from synthctl.moments import MomentConfig, MomentSystem, gmm_objective
 from synthctl.panel import PanelData
 from synthctl.simlab import figure2_spec, gen_mixture_dgp
 from synthctl.solver import (
+    SolveDiagnostics,
     SolverOptions,
     WeightVector,
+    _fold,
     _lipschitz,
     ls_unconstrained,
     project_simplex,
@@ -489,9 +496,12 @@ def test_curvature_outside_the_double_range():
     # the step bound is an exact eigenvalue, so it scales as the square
     rng = np.random.default_rng(0)
     a, b = rng.normal(0, 1, (30, 10)), rng.normal(0, 1, 30)
-    lip = _lipschitz(a)
+    def lipschitz(a):
+        return _lipschitz(a, a - a.mean(axis=1, keepdims=True))
+
+    lip = lipschitz(a)
     for c in (1e-80, 1e-20, 1e20, 1e80):
-        scaled = _lipschitz(a * c) / c**2
+        scaled = lipschitz(a * c) / c**2
         assert scaled == pytest.approx(lip, rel=1e-12), c
 
     # a subnormal curvature has too few digits to step by: at 1e-158 and
@@ -505,6 +515,217 @@ def test_curvature_outside_the_double_range():
     for c in (1e-158, 1e-160):
         with pytest.raises(MomentOverflowError):
             solve_simplex_qp(make_system(a * c, b * c))
+
+
+# The solver before its per-call savings (.dot for @, in-place updates,
+# list-side minima and maxima), kept as the reference that solve_simplex_qp
+# must match bit for bit. The goldens pin bytes on the recording kernel only;
+# this compares two programs on whichever BLAS kernel runs the test.
+
+
+def _reference_project(v):
+    total = np.add.reduce(v)
+    if not math.isfinite(total) and not np.isfinite(v).all():
+        raise DimensionMismatchError("projection input must be finite")
+    if total == 1.0 and np.minimum.reduce(v) >= 0.0:
+        return v.copy()
+    u = sorted(v.tolist(), reverse=True)
+    cs = 0.0
+    cssv = []
+    rho = 0
+    for k, u_k in enumerate(u, 1):
+        cs += u_k
+        c = cs - 1.0
+        cssv.append(c)
+        if u_k - c / k > 0:
+            rho += 1
+    theta = np.float64(cssv[rho - 1]) / rho
+    w = v - theta
+    np.maximum(w, 0.0, out=w)
+    excess = np.add.reduce(w) - 1.0
+    if excess != 0.0:
+        order = w.argsort()[::-1].tolist()
+        support = order[: np.count_nonzero(w)] or order
+        for i in support:
+            if w[i] - excess >= 0.0:
+                w[i] -= excess
+                excess = np.add.reduce(w) - 1.0
+                if excess == 0.0:
+                    break
+        for i in support:
+            if excess == 0.0:
+                break
+            w[i] = np.nextafter(w[i], -math.inf if excess > 0.0 else math.inf)
+            excess = np.add.reduce(w) - 1.0
+    if (abs(total - 1.0) <= 2.0**-52 and u[-1] >= 0.0
+            and np.maximum.reduce(np.abs(w - v)) > 2.0**-51):
+        return v.copy()
+    return w
+
+
+def _reference_lipschitz(a):
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = a.T @ a
+        centred = a - a.mean(axis=1, keepdims=True)
+        h_c = centred.T @ centred
+    tiny = np.finfo(float).tiny
+    lam = float(np.linalg.eigvalsh(h)[-1]) if np.isfinite(h).all() else 0.0
+    if lam < tiny and a.any():
+        raise MomentOverflowError(
+            "the curvature of a nonzero system is subnormal or not finite; "
+            "rescale the outcomes"
+        )
+    lam_c = float(np.linalg.eigvalsh(h_c)[-1]) if np.isfinite(h_c).all() else math.nan
+    if lam_c <= a.size * ((a.shape[1] + 2) * np.finfo(float).eps) ** 2 * lam:
+        return 0.0
+    if not lam_c >= tiny:
+        raise MomentOverflowError(
+            "the curvature along the simplex is subnormal or not finite; "
+            "rescale the outcomes"
+        )
+    return 2.0 * lam_c
+
+
+def _reference_polish(a, b, w, f_w, f_start, half_lip, tol):
+    support = np.flatnonzero(w > 0.0)
+    rest, last = support[:-1], support[-1]
+    a_last = a[:, last]
+    sol = np.linalg.lstsq(a[:, rest] - a_last[:, None], b - a_last, rcond=None)[0]
+    candidate = np.zeros_like(w)
+    candidate[rest] = sol
+    candidate[last] = 1.0 - sol.sum()
+    if candidate.min() < -1e-9:
+        return None
+    candidate = _reference_project(candidate)
+    r = b - a @ candidate
+    f_c = float(r @ r)
+    moved = candidate - _reference_project(candidate + (a.T @ r) / half_lip)
+    pg = float(np.maximum.reduce(np.abs(moved)))
+    if f_c > f_w + 1e-12 * f_start or pg > tol:
+        return None
+    return candidate, f_c, pg
+
+
+def reference_solve_simplex_qp(system, v=None, opts=SolverOptions()):
+    a, b = _fold(system, v)
+    n = a.shape[1]
+    rank = int(np.linalg.matrix_rank(a))
+    non_unique = 1 < n and rank < n
+    w = np.full(n, 1.0 / n)
+    lip = _reference_lipschitz(a) if n > 1 else 0.0
+    level = a.mean(axis=1)
+    a, b = a - level[:, None], b - level
+    r = b - a @ w
+    f_w = float(r @ r)
+    converged = lip <= 0.0
+    iterations, pg_norm = 0, 0.0
+    lip *= 1.05
+    half_lip = 0.5 * lip
+
+    f_start = f_w
+    y = w
+    t = 1.0
+    since_restart = 0
+    stagnant = 0
+    may_polish = not non_unique
+    a_t = a.T
+    for iterations in range(1, 0 if converged else opts.max_iter + 1):
+        r_y = b - a @ y
+        step = _reference_project(y + (a_t @ r_y) / half_lip)
+        d = step - y
+        r_step = r_y - a @ d
+        f_step = float(r_step @ r_step)
+
+        since_restart += 1
+        stagnant = 0 if f_step < f_w else stagnant + 1
+        accepted = f_step <= f_w
+        if not accepted and since_restart >= 50:
+            y, t = w, 1.0
+            since_restart = 0
+        else:
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            if accepted:
+                y = step + ((t - 1.0) / t_new) * (step - w)
+            else:
+                y = w + (t / t_new) * (step - w)
+            t = t_new
+        if accepted:
+            w, f_w = step, f_step
+
+        last = iterations == opts.max_iter
+        if last or iterations % 16 == 0 or np.maximum.reduce(np.abs(d)) <= 4.0 * opts.tol:
+            moved = w - _reference_project(w + (a_t @ (b - a @ w)) / half_lip)
+            pg_norm = float(np.maximum.reduce(np.abs(moved)))
+            if pg_norm <= opts.tol:
+                converged = True
+                break
+            if may_polish and (last or pg_norm <= 100.0 * opts.tol or stagnant >= 300):
+                polished = _reference_polish(a, b, w, f_w, f_start, half_lip, opts.tol)
+                if polished is not None:
+                    w, f_w, pg_norm = polished
+                    converged = True
+                    break
+            if stagnant >= 600:
+                break
+
+    return (
+        WeightVector(w),
+        SolveDiagnostics(
+            iterations=iterations,
+            final_objective=f_w,
+            projected_gradient_norm=pg_norm,
+            rank_estimate=rank,
+            converged=converged,
+            non_unique=non_unique,
+        ),
+    )
+
+
+def bit_identity_systems():
+    """(system, V) pairs, all seeded: every layout, weighting and rank."""
+    for m, j in itertools.product((1, 2, 4, 7, 15), (1, 2, 3, 10, 21, 50)):
+        rng = np.random.default_rng(100 * m + j)
+        a, b = rng.normal(size=(m, j)), rng.normal(size=m)
+        mats = [a]
+        if 1 < j <= m:
+            # a repeated column: rank-deficient though m >= J
+            deficient = a.copy()
+            deficient[:, -1] = deficient[:, 0]
+            mats.append(deficient)
+        for k, mat in enumerate(mats):
+            weightings = [None, np.diag(rng.uniform(0.5, 2.0, m))]
+            q = rng.normal(size=(m, m))
+            weightings.append(q @ q.T / m + 0.1 * np.eye(m))
+            # C-ordered, and as abadie builds it: the transpose of a (J, m) array
+            for mat_layout in (mat, np.ascontiguousarray(mat.T).T):
+                yield make_system(mat_layout, b), weightings[(m + j + k) % 3]
+    # rank-deficient fits that end on the stagnation break (three of the four
+    # under OPENBLAS_CORETYPE=Haswell)
+    for seed in (134, 136, 188, 204):
+        rng = np.random.default_rng(seed)
+        mu = rng.normal(size=10) * 0.7
+        a = np.vstack([mu, mu**2 + rng.uniform(0.1, 1.0, 10)])
+        yield make_system(a, [mu.min() - rng.uniform(0.1, 0.6), rng.uniform(1, 3)]), None
+    # every column and b share an offset
+    for a, b, v in offset_systems():
+        yield make_system(a + 1e4 * v[:, None], b + 1e4 * v), None
+
+
+def test_solver_matches_reference_bit_for_bit():
+    exits = collections.Counter()
+    for system, v in bit_identity_systems():
+        for max_iter in (1, 5, 17, SolverOptions().max_iter):
+            opts = SolverOptions(max_iter=max_iter)
+            w, diag = solve_simplex_qp(system, v, opts)
+            w_ref, diag_ref = reference_solve_simplex_qp(system, v, opts)
+            assert w.weights.tobytes() == w_ref.weights.tobytes()
+            assert w.intercept is w_ref.intercept is None
+            got, expected = dataclasses.astuple(diag), dataclasses.astuple(diag_ref)
+            assert [float(x).hex() for x in got] == [float(x).hex() for x in expected]
+            assert [type(x) for x in got] == [type(x) for x in expected]
+            exits[diag.converged, diag.iterations == max_iter] += 1
+    # converged, stopped at max_iter, and stopped early unconverged
+    assert exits[True, False] and exits[False, True] and exits[False, False], exits
 
 
 def test_weight_vector_validation():
