@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,24 @@ def test_unconverged_fits_warn_once(tmp_path, capsys):
         # every fit converges at the default --max-iter
         assert main(argv) == 0
         assert "WARN_NOT_CONVERGED" not in capsys.readouterr().err, argv
+
+
+def test_conformal_passes_other_warnings_on(tmp_path, monkeypatch, capsys):
+    # conformal records the refits' warnings to count them; any other
+    # warning raised meanwhile still reaches the caller
+    import synthctl.cli as cli
+
+    def warning_interval(*args):
+        warnings.warn("not a convergence warning", UserWarning)
+        return confidence_interval(*args)
+
+    monkeypatch.setattr(cli, "confidence_interval", warning_interval)
+    argv = ["conformal", "--input", str(DATA / "toy_panel.csv"), "--treated", "treated",
+            "--t0", "10", "--g", "2", "--grid-points", "3", "--max-iter", "5",
+            "--output", str(tmp_path / "r.json")]
+    with pytest.warns(UserWarning, match="not a convergence warning"):
+        assert main(argv) == 0
+    assert "WARN_NOT_CONVERGED: 3 of 4 fits" in capsys.readouterr().err
 
 
 def test_dte_outputs_deterministic(tmp_path, capsys):
