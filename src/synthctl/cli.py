@@ -417,16 +417,18 @@ def cmd_simulate(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
 
     if args.preset == "theorem1":
-        result = theorem1_experiment(spec)
+        result, unconverged = _counting_unconverged(lambda: theorem1_experiment(spec))
         _write_json(result, out / "theorem1.json")
         print(
             f"ols_mean: {result['ols_mean']}\n"
             f"predicted_limit: {result['predicted_limit']}\n"
             f"gmm_mean: {result['gmm_mean']}"
         )
+        # one moment-matching fit per replication
+        _warn_not_converged(unconverged, spec.replications)
         return 0
 
-    result = run_replication_study(spec)
+    result, unconverged = _counting_unconverged(lambda: run_replication_study(spec))
     with _writing(out / "records.csv"):
         result.save_records_csv(out / "records.csv")
     _write_json(result.aggregates_json_dict(), out / "aggregates.json")
@@ -436,6 +438,9 @@ def cmd_simulate(args) -> int:
         f"study complete: {len(result.records)} records, "
         f"{len(result.aggregates)} cells -> {out}"
     )
+    # a method that matches no moments is fitted once per panel, at the first G
+    fits = sum(r.method.matches_moments or r.g == spec.g_values[0] for r in result.records)
+    _warn_not_converged(unconverged, fits)
     return 0
 
 

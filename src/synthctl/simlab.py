@@ -15,12 +15,13 @@ results do not depend on which replications ran before it.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .dte import bootstrap_counterfactual, mmd_squared
-from .errors import BadConfigError, SynthctlError
+from .errors import BadConfigError, NotConvergedWarning, SynthctlError
 from .estimators import (
     BiasLimitInput,
     Method,
@@ -363,6 +364,8 @@ def _fit_record(
                 g=g, include_covariates=spec.include_covariates, scaling=spec.scaling
             ),
         )
+        if not fit.diagnostics.converged:
+            warnings.warn("a study fit did not converge", NotConvergedWarning, stacklevel=2)
         att_error = float(np.mean(np.abs(fit.att - truth.tau)))
         mean_att_error = float(abs(fit.att.mean() - truth.tau))
         weight_error = float(np.abs(fit.weights.weights - truth.w_star).max())
@@ -433,7 +436,8 @@ def run_replication_study(spec: StudySpec) -> ReplicationResult:
 
     Replications run one after another. Individual replication failures are
     recorded, not fatal; the study raises only when more than 10% of its
-    records carry an error.
+    records carry an error. A fit that does not converge issues a
+    ``NotConvergedWarning``.
     """
     chunks = [
         _run_replication(spec, j_index, j, r)
@@ -594,7 +598,8 @@ def theorem1_experiment(spec: Theorem1Spec) -> dict:
 
     Returns the replication means alongside the analytic least-squares limit,
     so the attenuation bias and its absence under moment matching are directly
-    comparable.
+    comparable. A moment-matching fit that does not converge issues a
+    ``NotConvergedWarning``.
     """
     ols_sum = np.zeros(len(spec.w_star))
     gmm_sum = np.zeros(len(spec.w_star))
@@ -605,7 +610,11 @@ def theorem1_experiment(spec: Theorem1Spec) -> dict:
     for rep in range(spec.replications):
         panel = _theorem1_panel(spec, derive_seed(spec.seed, rep), buffers)
         ols_sum += ls_unconstrained(panel)
-        gmm_sum += fit_method(panel, Method.DMSCM, cfg).weights.weights
+        fit = fit_method(panel, Method.DMSCM, cfg)
+        if not fit.diagnostics.converged:
+            warnings.warn("a theorem1 fit did not converge", NotConvergedWarning,
+                          stacklevel=2)
+        gmm_sum += fit.weights.weights
     limit = ls_bias_limit(
         BiasLimitInput(
             q_star=np.asarray(spec.q_diag),

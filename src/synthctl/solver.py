@@ -9,6 +9,16 @@ constant along the simplex. Feasible moves sum to zero, so the level that all
 columns share never enters the step, the certificate or the polish. Near the
 optimum one least-squares solve on the active face, which is scale-free, ends it.
 
+A slow fit is finished exactly: every 256th iteration a primal active-set walk
+(Nocedal & Wright, 2006, Algorithm 16.3) runs from the current iterate, each
+step one such face solve. Its point is taken only when it passes the same
+certificate with no worse objective and is the unique minimizer: the face's
+reduced matrix has full column rank, and every unit off the face has a
+gradient above the face's by more than the tolerance. Otherwise APG goes on
+as if the walk had not run. This also finishes rank-deficient fits (rank(A)
+below J) whose optimum is unique; a fit with a flat optimal face keeps the
+limit from the uniform start.
+
 Every system reaches the solver as a ``MomentSystem``: the moment rows of the
 density-matching fits, or the least-squares rows of the baselines.
 """
@@ -259,25 +269,33 @@ def _lipschitz(a: np.ndarray, centred: np.ndarray) -> float:
     return 2.0 * lam_c
 
 
-def _polish(a: np.ndarray, b: np.ndarray, w: np.ndarray, f_w: float, f_start: float,
-            half_lip: float, tol: float):
-    """Exact least-squares solve on the current support, or None.
+def _face_point(a: np.ndarray, b: np.ndarray, support: np.ndarray):
+    """The least-squares point on the affine hull of the face ``support``.
 
-    Near the optimum the iterates identify the active face, and one solve
-    on it lands on the minimizer. The last support unit's weight is 1 minus
-    the others' (the null-space method, Nocedal & Wright, 2006, 16.2), so
-    the solve and its acceptance are scale-free. Only a unique minimizer is
-    polished, so flat faces keep the uniform-start tie-break.
+    The last support unit's weight is 1 minus the others' (the null-space
+    method, Nocedal & Wright, 2006, 16.2), so the solve is scale-free.
+    Returns the point, zero off the face, and the face's reduced matrix
+    A_rest - a_last; the point is the face's unique minimizer when that
+    matrix has full column rank, and its minimum-norm one otherwise.
     """
-    support = np.flatnonzero(w > 0.0)
     rest, last = support[:-1], support[-1]
     a_last = a[:, last]
-    sol = np.linalg.lstsq(a[:, rest] - a_last[:, None], b - a_last, rcond=None)[0]
-    candidate = np.zeros_like(w)
-    candidate[rest] = sol
-    candidate[last] = 1.0 - sol.sum()
-    if candidate.min() < -1e-9:
-        return None
+    reduced = a[:, rest] - a_last[:, None]
+    sol = np.linalg.lstsq(reduced, b - a_last, rcond=None)[0]
+    point = np.zeros(a.shape[1])
+    point[rest] = sol
+    point[last] = 1.0 - sol.sum()
+    return point, reduced
+
+
+def _certify(a: np.ndarray, b: np.ndarray, candidate: np.ndarray, f_w: float,
+             f_start: float, half_lip: float, tol: float):
+    """(candidate, objective, certificate) for a point that passes, or None.
+
+    The candidate is projected onto the simplex, then kept only when its
+    projected-gradient step is at most ``tol`` and its objective is no worse
+    than the iterate's ``f_w`` (up to 1e-12 of the starting objective).
+    """
     candidate = _project(candidate)
     r = b - a.dot(candidate)
     f_c = r.dot(r)
@@ -288,6 +306,69 @@ def _polish(a: np.ndarray, b: np.ndarray, w: np.ndarray, f_w: float, f_start: fl
     if f_c > f_w + 1e-12 * f_start or pg > tol:
         return None
     return candidate, f_c, pg
+
+
+def _polish(a: np.ndarray, b: np.ndarray, w: np.ndarray, f_w: float, f_start: float,
+            half_lip: float, tol: float):
+    """Exact least-squares solve on the current support, or None.
+
+    Near the optimum the iterates identify the active face, and one solve
+    on it lands on the minimizer. Only a unique minimizer is polished, so
+    flat faces keep the uniform-start tie-break.
+    """
+    candidate = _face_point(a, b, np.flatnonzero(w > 0.0))[0]
+    if candidate.min() < -1e-9:
+        return None
+    return _certify(a, b, candidate, f_w, f_start, half_lip, tol)
+
+
+def _walk(a: np.ndarray, b: np.ndarray, w: np.ndarray, f_w: float, f_start: float,
+          half_lip: float, tol: float):
+    """A primal active-set walk from ``w`` to a certified unique minimizer, or None.
+
+    Nocedal & Wright (2006), Algorithm 16.3, in residual form: each step
+    solves the current face (``_face_point``), then either moves toward that
+    point until a weight reaches 0, which leaves the face, or, at the face's
+    minimizer, releases the unit off the face with the most negative
+    multiplier. The walk makes at most 2J + 2 steps. Its end point is kept
+    only when it is the problem's unique minimizer, so that the answer does
+    not depend on the path: the face's reduced matrix has full column rank
+    (``matrix_rank``'s default tolerance), and every unit off the face has a
+    gradient above the face's by more than ``tol`` in step units (strict
+    complementarity). It must also pass ``_certify``.
+    """
+    x = w.copy()
+    face = x > 0.0
+    for _ in range(2 * x.shape[0] + 2):
+        support = np.flatnonzero(face)
+        point, reduced = _face_point(a, b, support)
+        d = point - x
+        shrinking = support[d[support] < 0.0]
+        ratios = x[shrinking] / -d[shrinking]
+        if ratios.size and ratios.min() < 1.0:
+            # a weight reaches 0 on the way: step to it and leave it off
+            k = ratios.argmin()
+            x += ratios[k] * d
+            x[shrinking[k]] = 0.0
+            np.maximum(x, 0.0, out=x)
+            face = x > 0.0
+            continue
+        # a unit the face solve put at exactly 0 is off the face, so its gap
+        # is checked too
+        x = point
+        face = x > 0.0
+        # A'r / (L/2) is minus the gradient in step units
+        descent = a.T.dot(b - a.dot(x)) / half_lip
+        gaps = descent[face].min() - descent
+        gaps[face] = math.inf
+        i = gaps.argmin()
+        if gaps[i] < -tol:
+            face[i] = True  # a negative multiplier: release that unit
+            continue
+        if gaps[i] <= tol or np.linalg.matrix_rank(reduced) < support.shape[0] - 1:
+            return None
+        return _certify(a, b, x, f_w, f_start, half_lip, tol)
+    return None
 
 
 def solve_simplex_qp(
@@ -411,6 +492,13 @@ def solve_simplex_qp(
                 polished = _polish(a, b, w, f_w, f_start, half_lip, tol)
                 if polished is not None:
                     w, f_w, pg_norm = polished
+                    converged = True
+                    break
+            if iterations % 256 == 0:
+                # a slow fit: walk to the exact minimizer, if it is unique
+                walked = _walk(a, b, w, f_w, f_start, half_lip, tol)
+                if walked is not None:
+                    w, f_w, pg_norm = walked
                     converged = True
                     break
             if stagnant >= 600:

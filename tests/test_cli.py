@@ -296,6 +296,39 @@ def test_unconverged_fits_warn_once(tmp_path, capsys):
         assert "WARN_NOT_CONVERGED" not in capsys.readouterr().err, argv
 
 
+def test_simulate_warns_on_unconverged_fits(tmp_path, monkeypatch, capsys):
+    # simulate has no --max-iter, so the study's first fit is capped at one
+    # iteration with tol 0; before, an unconverged study or theorem1 fit
+    # printed nothing. Exit codes and output files are unchanged
+    import synthctl.simlab as simlab
+    from synthctl.solver import SolverOptions
+
+    fit_method = simlab.fit_method
+    calls = []
+
+    def first_fit_capped(panel, method, cfg, opts=SolverOptions()):
+        calls.append(method)
+        if len(calls) == 1:
+            opts = SolverOptions(tol=0.0, max_iter=1)
+        return fit_method(panel, method, cfg, opts)
+
+    # figure2: 2 replications of dmscm at 3 values of G, and abadie once
+    for preset, counts in (("figure2", "1 of 8"), ("theorem1", "1 of 2")):
+        argv = ["simulate", "--preset", preset, "--replications", "2", "--seed", "0"]
+        assert main([*argv, "--output-dir", str(tmp_path / preset)]) == 0
+        assert "WARN_NOT_CONVERGED" not in capsys.readouterr().err, preset
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(simlab, "fit_method", first_fit_capped)
+            assert main([*argv, "--output-dir", str(tmp_path / f"{preset}-capped")]) == 0
+        warned = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("WARN_NOT_CONVERGED")]
+        assert warned == [f"WARN_NOT_CONVERGED: {counts} fits did not converge; "
+                          "their weights are not certified optimal"], preset
+        assert sorted(p.name for p in (tmp_path / preset).iterdir()) == sorted(
+            p.name for p in (tmp_path / f"{preset}-capped").iterdir())
+
+
 def test_conformal_passes_other_warnings_on(tmp_path, monkeypatch, capsys):
     # conformal records the refits' warnings to count them; any other
     # warning raised meanwhile still reaches the caller

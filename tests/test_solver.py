@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import synthctl.solver as solver
+
 from synthctl.errors import (
     BadConfigError,
     DimensionMismatchError,
@@ -699,31 +701,161 @@ def bit_identity_systems():
             # C-ordered, and as abadie builds it: the transpose of a (J, m) array
             for mat_layout in (mat, np.ascontiguousarray(mat.T).T):
                 yield make_system(mat_layout, b), weightings[(m + j + k) % 3]
-    # rank-deficient fits that end on the stagnation break (three of the four
-    # under OPENBLAS_CORETYPE=Haswell)
+    # rank-deficient fits that ended on the stagnation break (three of the
+    # four under OPENBLAS_CORETYPE=Haswell); their optimum is unique, so the
+    # active-set walk now finishes each at the default max_iter
     for seed in (134, 136, 188, 204):
         rng = np.random.default_rng(seed)
         mu = rng.normal(size=10) * 0.7
         a = np.vstack([mu, mu**2 + rng.uniform(0.1, 1.0, 10)])
+        yield make_system(a, [mu.min() - rng.uniform(0.1, 0.6), rng.uniform(1, 3)]), None
+    # the same kind of system with the leftmost column repeated, so that the
+    # optimum is not unique: the walk declines, and each ends on the
+    # stagnation break
+    for seed in (4, 132, 177, 183):
+        rng = np.random.default_rng(seed)
+        mu = rng.normal(size=9) * 0.7
+        a = np.vstack([mu, mu**2 + rng.uniform(0.1, 1.0, 9)])
+        a = np.hstack([a, a[:, [int(np.argmin(mu))]]])
         yield make_system(a, [mu.min() - rng.uniform(0.1, 0.6), rng.uniform(1, 3)]), None
     # every column and b share an offset
     for a, b, v in offset_systems():
         yield make_system(a + 1e4 * v[:, None], b + 1e4 * v), None
 
 
-def test_solver_matches_reference_bit_for_bit():
+def exact_simplex_optimum(a, b):
+    """The minimizer of ||b - A w||^2 over the simplex, by enumerating every face.
+
+    On each face whose KKT matrix is nonsingular, the face's minimizer is
+    solved from the Gram form; the optimum is the one with positive weights
+    whose units off the face all have nonnegative multipliers. Returns the
+    face minimizer that comes closest to that, and asserts it is within
+    rounding. 2^J - 1 faces: for small J only.
+    """
+    j = a.shape[1]
+    h, c = a.T @ a, a.T @ b
+    scale = max(np.abs(h).max(), np.abs(c).max())
+    best, best_violation = None, math.inf
+    for k in range(1, j + 1):
+        for face in itertools.combinations(range(j), k):
+            face = list(face)
+            kkt = np.ones((k + 1, k + 1))
+            kkt[:k, :k] = h[np.ix_(face, face)]
+            kkt[k, k] = 0.0
+            if np.linalg.matrix_rank(kkt) <= k:
+                continue
+            sol = np.linalg.solve(kkt, np.append(c[face], 1.0))
+            if sol[:k].min() <= 0.0:
+                continue
+            w = np.zeros(j)
+            w[face] = sol[:k]
+            multipliers = np.delete(h @ w - c + sol[k], face)
+            violation = max(0.0, -multipliers.min(initial=0.0)) / scale
+            if violation < best_violation:
+                best, best_violation = w, violation
+    assert best_violation <= 1e-12
+    return best
+
+
+def slow_unique_systems():
+    """Rank-deficient systems (3 power moments of 8 units) with a unique
+    optimum on a face of two or three units, each of which took the reference
+    solver 1,548 to 5,690 iterations (178 stopped unconverged after 1,663)."""
+    for seed in (13, 178, 262, 286):
+        rng = np.random.default_rng(seed)
+        mu = rng.normal(size=8)
+        a = np.vstack([mu, mu**2, mu**3])
+        yield a, np.array([rng.normal() * 0.5, *rng.uniform(0.2, 2.0, 2)])
+
+
+def recording_walks(monkeypatch):
+    """Patch the solver's walk; the list receives, per walk, whether it finished."""
+    walk = solver._walk
+    finished = []
+
+    def recorded(*args):
+        result = walk(*args)
+        finished.append(result is not None)
+        return result
+
+    monkeypatch.setattr(solver, "_walk", recorded)
+    return finished
+
+
+def test_walk_finishes_slow_rank_deficient_fits():
+    # the reference solver lay 8.5e-9 to 4.5e-6 from the exact optimum
+    for a, b in slow_unique_systems():
+        system = make_system(a, b)
+        assert reference_solve_simplex_qp(system)[1].iterations > 1500
+        w, diag = solve_simplex_qp(system)
+        assert diag.non_unique and diag.converged
+        assert diag.iterations <= 512
+        np.testing.assert_allclose(w.weights, exact_simplex_optimum(a, b), rtol=0, atol=1e-8)
+
+
+def test_walk_keeps_non_unique_fits(monkeypatch):
+    # the same slow systems with one optimal column repeated: weight can move
+    # between the two copies, so the walk declines every time it is tried and
+    # the fit keeps the reference solver's bytes
+    finished = recording_walks(monkeypatch)
+    for a, b in slow_unique_systems():
+        k = int(np.argmax(exact_simplex_optimum(a, b)))
+        system = make_system(np.hstack([a, a[:, [k]]]), b)
+        finished.clear()
+        w, diag = solve_simplex_qp(system)
+        w_ref, diag_ref = reference_solve_simplex_qp(system)
+        assert finished and not any(finished)
+        assert diag.iterations >= 512
+        assert w.weights.tobytes() == w_ref.weights.tobytes()
+        assert diag == diag_ref
+
+
+def test_walk_rejects_a_zero_gap_face():
+    # columns (0, 0) and (1, 0), b = (x, 1): the optimum is the first column
+    # for x <= 0, and it is unique; at x = 0 the second column's gradient
+    # equals the first's, so the walk cannot certify it from either start
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for x, expected in [(0.0, None), (-1.0, [1.0, 0.0])]:
+        b = np.array([x, 1.0])
+        for start in ([0.5, 0.5], [1.0, 0.0]):
+            r = b - a @ start
+            walked = solver._walk(a, b, np.array(start), r @ r, r @ r, 1.0, 1e-10)
+            if expected is None:
+                assert walked is None, start
+            else:
+                np.testing.assert_array_equal(walked[0], expected)
+
+
+def test_solver_matches_reference_bit_for_bit(monkeypatch):
+    # where the walk finishes a fit, the fit is checked against the exact
+    # optimum instead. That happens at the default max_iter only: on
+    # SkylakeX for the four rank-deficient stagnation cases of
+    # bit_identity_systems (76 to 79); under Haswell for three of them, and
+    # for the 7 x 10 fits with a full V (52 and 53), which take more than 256
+    # iterations there
+    finished = recording_walks(monkeypatch)
     exits = collections.Counter()
-    for system, v in bit_identity_systems():
+    walked = []
+    for index, (system, v) in enumerate(bit_identity_systems()):
         for max_iter in (1, 5, 17, SolverOptions().max_iter):
             opts = SolverOptions(max_iter=max_iter)
+            finished.clear()
             w, diag = solve_simplex_qp(system, v, opts)
             w_ref, diag_ref = reference_solve_simplex_qp(system, v, opts)
-            assert w.weights.tobytes() == w_ref.weights.tobytes()
             assert w.intercept is w_ref.intercept is None
+            if any(finished):
+                walked.append((index, max_iter))
+                assert diag.converged and diag.iterations % 256 == 0
+                exact = exact_simplex_optimum(*_fold(system, v))
+                np.testing.assert_allclose(w.weights, exact, rtol=0, atol=1e-8)
+                continue
+            assert w.weights.tobytes() == w_ref.weights.tobytes()
             got, expected = dataclasses.astuple(diag), dataclasses.astuple(diag_ref)
             assert [float(x).hex() for x in got] == [float(x).hex() for x in expected]
             assert [type(x) for x in got] == [type(x) for x in expected]
             exits[diag.converged, diag.iterations == max_iter] += 1
+    assert len(walked) >= 3
+    assert {max_iter for _, max_iter in walked} == {SolverOptions().max_iter}, walked
     # converged, stopped at max_iter, and stopped early unconverged
     assert exits[True, False] and exits[False, True] and exits[False, False], exits
 

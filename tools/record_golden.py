@@ -191,7 +191,7 @@ def _figure2_system(g: int) -> MomentSystem:
     return build_system(_figure2_panel(20231), MomentConfig(g=g, **_BASE))
 
 
-def _conformal_stagnant() -> dict:
+def _conformal_certificate() -> dict:
     # the default conformal grid's point 37 for this panel at G = 2, refit
     # over the whole span
     panel = _figure2_panel(0)
@@ -199,6 +199,17 @@ def _conformal_stagnant() -> dict:
     adjusted[panel.t0:] -= float.fromhex("0x1.1907a74dd4584p+6")
     null = panel.with_treated_outcomes(adjusted)
     return _solve(build_system(null, MomentConfig(g=2), window=null.n_periods))
+
+
+def _stagnant_non_unique() -> dict:
+    # two moments of ten units whose target lies beyond the leftmost unit,
+    # and that unit's column twice: weight moves between the two copies at
+    # no cost, so the optimum is not unique and the active-set walk declines
+    rng = np.random.default_rng(4)
+    mu = rng.normal(size=9) * 0.7
+    a = np.vstack([mu, mu**2 + rng.uniform(0.1, 1.0, 9)])
+    a = np.hstack([a, a[:, [int(np.argmin(mu))]]])
+    return _solve(_system(a, [mu.min() - rng.uniform(0.1, 0.6), rng.uniform(1, 3)]))
 
 
 def _theorem1_solve() -> dict:
@@ -257,9 +268,12 @@ _RECORDS = {
     # one solve per way the solver ends
     # full rank: ends on the face polish
     "solver_exits/figure2_polish": lambda: _solve(_figure2_system(5)),
+    # rank-deficient, converged by the certificate
+    "solver_exits/conformal_certificate": _conformal_certificate,
     # rank-deficient and stops making progress: the stagnation break, unconverged
-    "solver_exits/conformal_stagnant": _conformal_stagnant,
-    # rank-deficient, converged by the certificate after hundreds of steps
+    "solver_exits/stagnant_non_unique": _stagnant_non_unique,
+    # rank-deficient with a unique optimum, slow: the active-set walk ends it
+    # at iteration 256
     "solver_exits/dte_g4": lambda: _solve(build_system(_figure2_panel(0), MomentConfig(g=4))),
     "solver_exits/theorem1": _theorem1_solve,
     "solver_exits/full_v": lambda: _solve(_figure2_system(3), _full_v()),
