@@ -438,9 +438,7 @@ def cmd_simulate(args) -> int:
         f"study complete: {len(result.records)} records, "
         f"{len(result.aggregates)} cells -> {out}"
     )
-    # a method that matches no moments is fitted once per panel, at the first G
-    fits = sum(r.method.matches_moments or r.g == spec.g_values[0] for r in result.records)
-    _warn_not_converged(unconverged, fits)
+    _warn_not_converged(unconverged, result.fits)
     return 0
 
 

@@ -286,6 +286,13 @@ class ReplicationResult:
     records: tuple[ReplicationRecord, ...]
     aggregates: tuple[CellAggregate, ...]
 
+    @property
+    def fits(self) -> int:
+        """The fits behind the records: a method that matches no moments is
+        fitted once per panel, at the first G, and its record repeated."""
+        first_g = self.spec.g_values[0]
+        return sum(r.method.matches_moments or r.g == first_g for r in self.records)
+
     def aggregates_json_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,

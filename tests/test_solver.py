@@ -826,6 +826,17 @@ def test_walk_rejects_a_zero_gap_face():
                 np.testing.assert_array_equal(walked[0], expected)
 
 
+def test_walk_rejects_a_flat_face():
+    # every w with w_2 + 2 w_3 = 1 is optimal, the uniform start among them:
+    # the face of all three units has a reduced matrix of rank 1, so the
+    # walk keeps off its minimum-norm point (0.4, 0.2, 0.4)
+    a = np.array([[0.0, 1.0, 2.0], [1.0, 1.0, 1.0]])
+    b = np.array([1.0, 0.0])
+    start = np.full(3, 1.0 / 3.0)
+    r = b - a @ start
+    assert solver._walk(a, b, start, r @ r, r @ r, 1.0, 1e-10) is None
+
+
 def test_solver_matches_reference_bit_for_bit(monkeypatch):
     # where the walk finishes a fit, the fit is checked against the exact
     # optimum instead. That happens at the default max_iter only: on
