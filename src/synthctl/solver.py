@@ -6,12 +6,13 @@ quadratic is minimized by monotone accelerated projected gradient with exact
 simplex projection (Beck & Teboulle, 2009), stepping 1/L with L a fixed 5%
 above 2 * lambda_max(P A'A P), P = I - 11'/J: the gradient's exact Lipschitz
 constant along the simplex. Feasible moves sum to zero, so the level that all
-columns share never enters the step, the certificate or the polish. Near the
-optimum one least-squares solve on the active face, which is scale-free, ends it.
+columns share never enters the step, the certificate or the walk below.
 
-A slow fit is finished exactly: every 256th iteration a primal active-set walk
-(Nocedal & Wright, 2006, Algorithm 16.3) runs from the current iterate, each
-step one such face solve. Its point is taken only when it passes the same
+One exact finish ends a fit: a primal active-set walk (Nocedal & Wright,
+2006, Algorithm 16.3) from the current iterate, each step one least-squares
+solve on a face, which is scale-free. It runs every 256th iteration, and for
+a full-rank fit also once the certificate is within 100 times the tolerance
+and on the last iteration. Its point is taken only when it passes the same
 certificate with no worse objective and is the unique minimizer: the face's
 reduced matrix has full column rank, and every unit off the face has a
 gradient above the face's by more than the tolerance. Otherwise APG goes on
@@ -94,6 +95,26 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
+    """How a fit ended.
+
+    - ``iterations``: APG iterations run; 0 when every feasible point is
+      optimal (one unit, or the zero quadratic).
+    - ``final_objective``: (b - A w)' V (b - A w) at the returned weights.
+    - ``projected_gradient_norm``: the certificate, the largest entry of
+      w - proj(w - grad / L) at the returned weights (0.0 when no iteration
+      ran).
+    - ``rank_estimate``: ``matrix_rank`` of the folded A.
+    - ``converged``: the certificate held at the iterate (at most ``tol``),
+      or the active-set walk certified a unique minimizer, or no iteration
+      was needed.
+    - ``non_unique``: the folded A has rank below J, so the optimum may be a
+      flat face; unless the walk certifies a unique minimizer, the fit keeps
+      the limit from the uniform start.
+
+    ``fit_ols`` fills the same fields: no iterations, full rank, and the mean
+    squared pre-period residual as its objective.
+    """
+
     iterations: int
     final_objective: float
     projected_gradient_norm: float
@@ -288,40 +309,6 @@ def _face_point(a: np.ndarray, b: np.ndarray, support: np.ndarray):
     return point, reduced
 
 
-def _certify(a: np.ndarray, b: np.ndarray, candidate: np.ndarray, f_w: float,
-             f_start: float, half_lip: float, tol: float):
-    """(candidate, objective, certificate) for a point that passes, or None.
-
-    The candidate is projected onto the simplex, then kept only when its
-    projected-gradient step is at most ``tol`` and its objective is no worse
-    than the iterate's ``f_w`` (up to 1e-12 of the starting objective).
-    """
-    candidate = _project(candidate)
-    r = b - a.dot(candidate)
-    f_c = r.dot(r)
-    stepped = a.T.dot(r)
-    stepped /= half_lip
-    stepped += candidate
-    pg = max(map(abs, (candidate - _project(stepped)).tolist()))
-    if f_c > f_w + 1e-12 * f_start or pg > tol:
-        return None
-    return candidate, f_c, pg
-
-
-def _polish(a: np.ndarray, b: np.ndarray, w: np.ndarray, f_w: float, f_start: float,
-            half_lip: float, tol: float):
-    """Exact least-squares solve on the current support, or None.
-
-    Near the optimum the iterates identify the active face, and one solve
-    on it lands on the minimizer. Only a unique minimizer is polished, so
-    flat faces keep the uniform-start tie-break.
-    """
-    candidate = _face_point(a, b, np.flatnonzero(w > 0.0))[0]
-    if candidate.min() < -1e-9:
-        return None
-    return _certify(a, b, candidate, f_w, f_start, half_lip, tol)
-
-
 def _walk(a: np.ndarray, b: np.ndarray, w: np.ndarray, f_w: float, f_start: float,
           half_lip: float, tol: float):
     """A primal active-set walk from ``w`` to a certified unique minimizer, or None.
@@ -335,7 +322,10 @@ def _walk(a: np.ndarray, b: np.ndarray, w: np.ndarray, f_w: float, f_start: floa
     not depend on the path: the face's reduced matrix has full column rank
     (``matrix_rank``'s default tolerance), and every unit off the face has a
     gradient above the face's by more than ``tol`` in step units (strict
-    complementarity). It must also pass ``_certify``.
+    complementarity). The face's weights are then projected onto the simplex
+    and the point is kept only when its projected-gradient step is at most
+    ``tol`` and its objective is no worse than the iterate's ``f_w`` (up to
+    1e-12 of the starting objective).
     """
     x = w.copy()
     face = x > 0.0
@@ -367,7 +357,19 @@ def _walk(a: np.ndarray, b: np.ndarray, w: np.ndarray, f_w: float, f_start: floa
             continue
         if gaps[i] <= tol or np.linalg.matrix_rank(reduced) < support.shape[0] - 1:
             return None
-        return _certify(a, b, x, f_w, f_start, half_lip, tol)
+        # only the face's weights are projected, so every unit off the face
+        # stays at 0.0 when they miss 1.0 by an ulp
+        x[~face] = 0.0
+        x[face] = _project(x[face])
+        r = b - a.dot(x)
+        f_x = r.dot(r)
+        stepped = a.T.dot(r)
+        stepped /= half_lip
+        stepped += x
+        pg = max(map(abs, (x - _project(stepped)).tolist()))
+        if f_x > f_w + 1e-12 * f_start or pg > tol:
+            return None
+        return x, f_x, pg
     return None
 
 
@@ -419,7 +421,6 @@ def solve_simplex_qp(
     t = 1.0
     since_restart = 0
     stagnant = 0
-    may_polish = not non_unique  # keep the uniform-start tie-break on flat faces
     checked = None  # the iterate whose certificate pg_norm holds
     tol, max_iter = opts.tol, opts.max_iter
     still = 4.0 * tol
@@ -473,8 +474,8 @@ def solve_simplex_qp(
 
         # the optimality certificate is priced at two extra products, so
         # confirm it periodically, once the iterate stops moving, and on the
-        # last iteration, which always tries the polish too; an iterate that
-        # has not changed since the last check keeps its certificate
+        # last iteration; an iterate that has not changed since the last
+        # check keeps its certificate
         last = iterations == max_iter
         if last or iterations % 16 == 0 or max(map(abs, d.tolist())) <= still:
             if w is not checked:
@@ -486,16 +487,10 @@ def solve_simplex_qp(
             if pg_norm <= tol:
                 converged = True
                 break
-            if may_polish and (last or pg_norm <= 100.0 * tol or stagnant >= 300):
-                # the active face is very likely final: finish with one
-                # exact solve on that face
-                polished = _polish(a, b, w, f_w, f_start, half_lip, tol)
-                if polished is not None:
-                    w, f_w, pg_norm = polished
-                    converged = True
-                    break
-            if iterations % 256 == 0:
-                # a slow fit: walk to the exact minimizer, if it is unique
+            # a slow fit, or a full-rank one near its optimum or at its last
+            # iteration: walk to the exact minimizer, if it is unique
+            near = last or pg_norm <= 100.0 * tol
+            if iterations % 256 == 0 or (near and not non_unique):
                 walked = _walk(a, b, w, f_w, f_start, half_lip, tol)
                 if walked is not None:
                     w, f_w, pg_norm = walked

@@ -266,8 +266,9 @@ _RECORDS = {
     "solves/diag_v": lambda: _solve(_figure2_system(5), np.diag(np.linspace(0.5, 3.0, 10))),
     "solves/full_v": lambda: _solve(_figure2_system(3), _full_v()),
     # one solve per way the solver ends
-    # full rank: ends on the face polish
-    "solver_exits/figure2_polish": lambda: _solve(_figure2_system(5)),
+    # full rank: once the certificate is within 100 tol, the active-set walk
+    # ends it at iteration 144
+    "solver_exits/figure2_walk_near_optimum": lambda: _solve(_figure2_system(5)),
     # rank-deficient, converged by the certificate
     "solver_exits/conformal_certificate": _conformal_certificate,
     # rank-deficient and stops making progress: the stagnation break, unconverged
@@ -277,8 +278,9 @@ _RECORDS = {
     "solver_exits/dte_g4": lambda: _solve(build_system(_figure2_panel(0), MomentConfig(g=4))),
     "solver_exits/theorem1": _theorem1_solve,
     "solver_exits/full_v": lambda: _solve(_figure2_system(3), _full_v()),
-    # at the default tol: max_iter 16 ends on a periodic certificate, 17 on
-    # the last iteration's certificate and polish
+    # at the default tol: max_iter 16 stops on a periodic certificate check,
+    # 17 on the last iteration's; the active-set walk finishes the full-rank
+    # system at each cap, and the rank-deficient one stops unconverged
     **{f"max_iter/{name}_{n}": partial(_max_iter, name, n)
        for name, counts in (("full", (5, 16, 17)), ("deficient", (5, 16, 17)), ("one", (5,)))
        for n in counts},
