@@ -479,8 +479,8 @@ def test_walk_finishes_a_capped_full_rank_fit():
 def test_walked_fit_keeps_its_face_zeros():
     # replication 1's G = 10 dmscm fit in `simulate --preset figure2
     # --replications 3 --seed 1000`: its face point sums to an ulp below 1.0,
-    # and projecting the whole point lifted the five units off the face to
-    # 1.1e-17; only the face's weights are projected now
+    # so a projection of the whole point would lift the five units off the
+    # face to 1.1e-17
     panel, _ = gen_mixture_dgp(figure2_spec().dgp_config(10, derive_seed(1000, 0, 1)))
     cfg = MomentConfig(g=10, include_covariates=True, scaling="max_abs")
     w, diag = estimate_weights(panel, Method.DMSCM, cfg)
@@ -546,7 +546,8 @@ def test_curvature_outside_the_double_range():
 
 # The solver before its per-call savings (.dot for @, in-place updates,
 # list-side minima and maxima), kept as the reference that solve_simplex_qp
-# must match bit for bit. The goldens pin bytes on the recording kernel only;
+# must match bit for bit wherever the active-set walk does not finish the
+# fit. The goldens pin bytes on the recording kernel only;
 # this compares two programs on whichever BLAS kernel runs the test.
 
 
@@ -755,8 +756,12 @@ def exact_simplex_optimum(a, b):
     solved from the Gram form; the optimum is the one with positive weights
     whose units off the face all have nonnegative multipliers. Returns the
     face minimizer that comes closest to that, and asserts it is within
-    rounding. 2^J - 1 faces: for small J only.
+    rounding. 2^J - 1 faces: for small J only. A and b are first taken minus
+    A's row means: that leaves the objective on the simplex as it is, and
+    the Gram form precise enough for columns that share a large offset.
     """
+    level = a.mean(axis=1)
+    a, b = a - level[:, None], b - level
     j = a.shape[1]
     h, c = a.T @ a, a.T @ b
     scale = max(np.abs(h).max(), np.abs(c).max())
@@ -888,11 +893,7 @@ def test_solver_matches_reference_bit_for_bit(monkeypatch):
                     or [float(x).hex() for x in got] != [float(x).hex() for x in expected]):
                 walked.append((index, max_iter))
                 assert any(finished) and diag.converged, (index, max_iter)
-                # the offset systems leave the Gram form too little precision
-                # to enumerate; on the simplex, centring the rows moves no fit
-                a, b = _fold(system, v)
-                level = a.mean(axis=1)
-                exact = exact_simplex_optimum(a - level[:, None], b - level)
+                exact = exact_simplex_optimum(*_fold(system, v))
                 np.testing.assert_allclose(w.weights, exact, rtol=0, atol=1e-8)
                 continue
             exits[diag.converged, diag.iterations == max_iter] += 1
