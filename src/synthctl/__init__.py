@@ -28,6 +28,7 @@ from .estimators import (
     BiasLimitInput,
     FitResult,
     Method,
+    fit_listener,
     fit_method,
     fit_ols,
     ls_bias_limit,
@@ -97,6 +98,7 @@ __all__ = [
     "default_grid",
     "derive_seed",
     "figure2_spec",
+    "fit_listener",
     "fit_method",
     "fit_ols",
     "gen_mixture_dgp",

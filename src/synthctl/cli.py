@@ -20,16 +20,16 @@ import contextlib
 import functools
 import inspect
 import json
+import math
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .conformal import confidence_interval, default_grid, save_p_curve
 from .dte import bootstrap_counterfactual, check_probs, mmd_test, quantiles, save_draws
-from .errors import BadProbError, NotConvergedWarning, SynthctlError
-from .estimators import Method, fit_method
+from .errors import BadProbError, SynthctlError
+from .estimators import Method, fit_listener, fit_method
 from .moments import SCALINGS, MomentConfig
 from .panel import SCHEMA_VERSION, PanelData, PanelSchema, load_panel
 from .seeding import derive_seed
@@ -169,31 +169,15 @@ def _write_json(payload: dict, path) -> None:
             Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _warn_not_converged(unconverged: int, fits: int) -> None:
-    """One stderr line when any of the ``fits`` behind an output did not converge."""
-    if unconverged:
-        print(
-            f"WARN_NOT_CONVERGED: {unconverged} of {fits} fits did not converge; "
-            "their weights are not certified optimal",
-            file=sys.stderr,
-        )
+class _FitCount:
+    """A ``fit_listener`` that counts a command's fits and its unconverged ones."""
 
+    def __init__(self):
+        self.fits = self.unconverged = 0
 
-def _counting_unconverged(run):
-    """``run()``'s result and the NotConvergedWarnings it issued, counted.
-
-    Every other warning is passed on as if no one had recorded it.
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", NotConvergedWarning)
-        result = run()
-    unconverged = 0
-    for w in caught:
-        if issubclass(w.category, NotConvergedWarning):
-            unconverged += 1
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return result, unconverged
+    def __call__(self, method, system, weights, diagnostics) -> None:
+        self.fits += 1
+        self.unconverged += not diagnostics.converged
 
 
 def cmd_fit(args) -> int:
@@ -208,7 +192,6 @@ def cmd_fit(args) -> int:
         print(f"intercept: {fit.weights.intercept:.6f}")
     print(f"pre_fit_rmse: {fit.pre_fit_rmse:.6f}")
     print(f"mean_post_att: {fit.mean_post_att():.6f}")
-    _warn_not_converged(int(not fit.diagnostics.converged), 1)
     return 0
 
 
@@ -220,17 +203,23 @@ def cmd_conformal(args) -> int:
         raise _CliError("BAD_GRID", f"need --grid-points >= 1, got {args.grid_points}")
     if (args.grid_min is None) != (args.grid_max is None):
         raise _CliError("BAD_GRID", "give both --grid-min and --grid-max, or neither")
+    grid = None
+    if args.grid_min is not None:
+        span = args.grid_max - args.grid_min  # nan or inf when an end is
+        if not math.isfinite(span):
+            raise _CliError("BAD_GRID", "need finite --grid-min and --grid-max a finite "
+                            f"distance apart, got {args.grid_min} and {args.grid_max}")
+        if span < 0:
+            raise _CliError("BAD_GRID", "need --grid-min <= --grid-max, "
+                            f"got {args.grid_min} > {args.grid_max}")
+        grid = np.linspace(args.grid_min, args.grid_max, args.grid_points)
     opts = _solver_options(args)
     panel = _load_panel_from_args(args)
     cfg = _moment_config(args)
     fit = fit_method(panel, estimator, cfg, opts)
-    if args.grid_min is not None:
-        grid = np.linspace(args.grid_min, args.grid_max, args.grid_points)
-    else:
+    if grid is None:
         grid = default_grid(panel, fit, points=args.grid_points)
-    report, unconverged = _counting_unconverged(
-        lambda: confidence_interval(panel, grid, args.level, estimator, cfg, opts)
-    )
+    report = confidence_interval(panel, grid, args.level, estimator, cfg, opts)
     _write_json(report.to_json_dict(), args.output)
     if args.csv:
         with _writing(args.csv):
@@ -243,8 +232,6 @@ def cmd_conformal(args) -> int:
             "WARN_GRID_EDGE: acceptance region touches the grid boundary; widen the grid",
             file=sys.stderr,
         )
-    # the point fit and one refit per grid point
-    _warn_not_converged(unconverged + (not fit.diagnostics.converged), 1 + grid.size)
     return 0
 
 
@@ -293,7 +280,6 @@ def cmd_dte(args) -> int:
         )
         _write_json(report.to_json_dict(), args.mmd_out)
         print(f"mmd2: {report.mmd2:.6g} p_value: {report.p_value:.6g}")
-    _warn_not_converged(int(not fit.diagnostics.converged), 1)
     return 0
 
 
@@ -417,18 +403,16 @@ def cmd_simulate(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
 
     if args.preset == "theorem1":
-        result, unconverged = _counting_unconverged(lambda: theorem1_experiment(spec))
+        result = theorem1_experiment(spec)
         _write_json(result, out / "theorem1.json")
         print(
             f"ols_mean: {result['ols_mean']}\n"
             f"predicted_limit: {result['predicted_limit']}\n"
             f"gmm_mean: {result['gmm_mean']}"
         )
-        # one moment-matching fit per replication
-        _warn_not_converged(unconverged, spec.replications)
         return 0
 
-    result, unconverged = _counting_unconverged(lambda: run_replication_study(spec))
+    result = run_replication_study(spec)
     with _writing(out / "records.csv"):
         result.save_records_csv(out / "records.csv")
     _write_json(result.aggregates_json_dict(), out / "aggregates.json")
@@ -438,7 +422,6 @@ def cmd_simulate(args) -> int:
         f"study complete: {len(result.records)} records, "
         f"{len(result.aggregates)} cells -> {out}"
     )
-    _warn_not_converged(unconverged, result.fits)
     return 0
 
 
@@ -505,7 +488,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        count = _FitCount()
+        with fit_listener(count):
+            code = args.func(args)
+        # after a normal return only: a failed command prints its error alone
+        if count.unconverged:
+            print(
+                f"WARN_NOT_CONVERGED: {count.unconverged} of {count.fits} fits did not "
+                "converge; their weights are not certified optimal",
+                file=sys.stderr,
+            )
+        return code
     except SynthctlError as exc:
         print(f"error: {exc.code}: {exc.message}", file=sys.stderr)
         return 1

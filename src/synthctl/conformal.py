@@ -12,13 +12,12 @@ intervals invert the test over a grid of constant nulls.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BadConfigError, DimensionMismatchError, NotConvergedWarning
+from .errors import BadConfigError, DimensionMismatchError
 from .estimators import FitResult, Method, estimate_weights
 from .moments import MomentConfig
 from .panel import SCHEMA_VERSION, PanelData, open_csv
@@ -106,21 +105,14 @@ def conformal_p_value(
     The returned value is #{rotations with statistic >= identity} / T, over
     all T cyclic rotations including the identity, so it lies on the grid
     {1/T, 2/T, ..., 1}. A method without simplex weights (OLS) is rejected
-    with ``BadConfigError``. A refit that does not converge issues a
-    ``NotConvergedWarning``.
+    with ``BadConfigError``.
     """
     alpha = null.resolve(panel.n_post)
     adjusted = panel.treated_outcomes.copy()
     adjusted[panel.t0 :] -= alpha
     extended = panel.with_treated_outcomes(adjusted)
 
-    wv, diag = estimate_weights(
-        extended, estimator, cfg, opts, window=extended.n_periods
-    )
-    if not diag.converged:
-        # one message, so the default filter shows it once per call site
-        warnings.warn("a conformal refit did not converge", NotConvergedWarning,
-                      stacklevel=2)
+    wv, _ = estimate_weights(extended, estimator, cfg, opts, window=extended.n_periods)
     residuals = extended.treated_outcomes - wv.predict(extended.untreated_outcomes)
 
     stats = _rotation_statistics(np.abs(residuals), panel.t0)

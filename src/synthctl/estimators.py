@@ -11,10 +11,14 @@ post-period effect series, and solver diagnostics.
 ``Method`` holds every per-method decision (simplex weights, moment
 matching, demeaning with an intercept); other modules ask its properties,
 and every fit goes through ``fit_method``.
+
+Every fit, a conformal refit or a study's included, is reported once to the
+listeners registered with ``fit_listener``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from dataclasses import dataclass
@@ -36,6 +40,7 @@ __all__ = [
     "Method",
     "FitResult",
     "BiasLimitInput",
+    "fit_listener",
     "fit_ols",
     "fit_method",
     "ls_bias_limit",
@@ -97,6 +102,35 @@ class FitResult:
         }
 
 
+# the listeners of the open ``fit_listener`` blocks, innermost last
+_listeners: list = []
+
+
+@contextlib.contextmanager
+def fit_listener(listener):
+    """Report every fit made inside the block to ``listener``, once.
+
+    ``listener(method, system, weights, diagnostics)`` is called as each fit
+    of ``estimate_weights`` or ``fit_ols`` ends, with the objects the fit
+    holds: its ``Method``, its ``MomentSystem`` (None for OLS), its
+    ``WeightVector`` and its ``SolveDiagnostics``. Nothing is copied, so a
+    listener that keeps them must not change them. A fit that raises is not
+    reported. The listener is removed when the block exits, by an exception
+    too.
+    """
+    _listeners.append(listener)
+    try:
+        yield
+    finally:
+        _listeners.remove(listener)
+
+
+def _report(method: Method, system: MomentSystem | None, wv: WeightVector,
+            diag: SolveDiagnostics) -> None:
+    for listener in _listeners:
+        listener(method, system, wv, diag)
+
+
 def estimate_weights(
     panel: PanelData,
     method: Method,
@@ -129,6 +163,7 @@ def estimate_weights(
     if method.demeaned:
         intercept = float(means[0] - wv.weights @ means[1:])
         wv = WeightVector(wv.weights, intercept=intercept)
+    _report(method, system, wv, diag)
     return wv, diag
 
 
@@ -176,6 +211,7 @@ def fit_ols(panel: PanelData) -> FitResult:
         rank_estimate=panel.n_untreated,
         converged=True,
     )
+    _report(Method.OLS, None, wv, diag)
     return _result(panel, Method.OLS, wv, diag)
 
 

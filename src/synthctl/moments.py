@@ -216,16 +216,16 @@ def _assemble(
     cfg: MomentConfig,
     demeaned: bool,
 ) -> MomentSystem:
-    series = outcomes
+    series = outcomes[:, :window]
     if demeaned:
-        _, series = demean_rows(outcomes, window)
+        _, series = demean_rows(series, window)
     n_rows = series.shape[0]
     width = min(window, max(1, _BLOCK_ELEMS // n_rows))
     # two scratch buffers: each block scaled, and its pooled-sd deviations,
     # absolute values or powers of order 2 and up
     scaled = np.empty((n_rows, width))
     work = np.empty((n_rows, width))
-    blocks = _blocks(series[:, :window], width)
+    blocks = _blocks(series, width)
     orders = tuple(range(1, cfg.g + 1))
     with np.errstate(over="ignore", invalid="ignore"):
         scale = _scale_for(blocks, cfg.scaling, work)

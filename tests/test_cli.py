@@ -11,6 +11,7 @@ import pytest
 
 import jsonschema
 
+from synthctl import estimators
 from synthctl.cli import build_parser, main
 from synthctl.conformal import confidence_interval, default_grid
 from synthctl.dte import mmd_test
@@ -312,9 +313,19 @@ def test_simulate_warns_on_unconverged_fits(tmp_path, monkeypatch, capsys):
             opts = SolverOptions(tol=0.0, max_iter=1)
         return fit_method(panel, method, cfg, opts)
 
-    # figure2: 2 replications of dmscm at 3 values of G, and abadie once
-    for preset, counts in (("figure2", "1 of 8"), ("theorem1", "1 of 2")):
-        argv = ["simulate", "--preset", preset, "--replications", "2", "--seed", "0"]
+    config = tmp_path / "study.ini"
+    config.write_text("[study]\nmethods = dmscm,ols\n"
+                      "[dgp]\nj = 3\ng = 2,4,6\nt0 = 12\nt1 = 5\nk = 0\n")
+    runs = (
+        # 2 replications of dmscm at 3 values of G, and abadie once
+        ("figure2", ["--preset", "figure2"], "1 of 8"),
+        ("theorem1", ["--preset", "theorem1"], "1 of 2"),
+        # the same count with ols, which is fitted by least squares once per
+        # panel: its fits count too
+        ("config", ["--config", str(config)], "1 of 8"),
+    )
+    for preset, study, counts in runs:
+        argv = ["simulate", *study, "--replications", "2", "--seed", "0"]
         assert main([*argv, "--output-dir", str(tmp_path / preset)]) == 0
         assert "WARN_NOT_CONVERGED" not in capsys.readouterr().err, preset
         calls.clear()
@@ -330,8 +341,8 @@ def test_simulate_warns_on_unconverged_fits(tmp_path, monkeypatch, capsys):
 
 
 def test_conformal_passes_other_warnings_on(tmp_path, monkeypatch, capsys):
-    # conformal records the refits' warnings to count them; any other
-    # warning raised meanwhile still reaches the caller
+    # main counts the refits it hears of; a warning raised meanwhile still
+    # reaches the caller
     import synthctl.cli as cli
 
     def warning_interval(*args):
@@ -345,6 +356,18 @@ def test_conformal_passes_other_warnings_on(tmp_path, monkeypatch, capsys):
     with pytest.warns(UserWarning, match="not a convergence warning"):
         assert main(argv) == 0
     assert "WARN_NOT_CONVERGED: 3 of 4 fits" in capsys.readouterr().err
+
+
+def test_no_fit_count_after_a_command_fails(tmp_path, capsys):
+    # 3 of the 4 fits stop unconverged, then the report cannot be written:
+    # the command prints its error line alone, and main's listener is gone
+    argv = ["conformal", "--input", str(DATA / "toy_panel.csv"), "--treated", "treated",
+            "--t0", "10", "--g", "2", "--grid-points", "3", "--max-iter", "5",
+            "--output", str(tmp_path / "missing" / "r.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: IO_WRITE: ")
+    assert estimators._listeners == []
 
 
 def test_dte_outputs_deterministic(tmp_path, capsys):
@@ -614,13 +637,19 @@ INFERENCE_ARGS = {
         ("conformal", ["--grid-min", "0", "--grid-max", "1", "--grid-points", "-1"], "BAD_GRID"),
         ("conformal", ["--grid-points", "0"], "BAD_GRID"),
         ("conformal", ["--grid-min", "-1"], "BAD_GRID"),
+        ("conformal", ["--grid-min", "1", "--grid-max", "-1"], "BAD_GRID"),
+        ("conformal", ["--grid-min", "nan", "--grid-max", "1"], "BAD_GRID"),
+        ("conformal", ["--grid-min", "-1", "--grid-max", "inf"], "BAD_GRID"),
+        ("conformal", ["--grid-min=-inf", "--grid-max", "1"], "BAD_GRID"),
+        ("conformal", ["--grid-min=-1e308", "--grid-max", "1e308"], "BAD_GRID"),
     ],
 )
 def test_inference_mistakes_exit_1_before_any_output(
     tmp_path, monkeypatch, capsys, command, extra, code
 ):
+    # the input does not exist: reading it first would exit with IO_NOT_FOUND
     monkeypatch.chdir(tmp_path)
-    argv = [command, "--input", str(DATA / "toy_panel.csv"), "--treated", "treated",
+    argv = [command, "--input", "missing.csv", "--treated", "treated",
             "--t0", "10", "--g", "2", *extra, *INFERENCE_ARGS[command]]
     assert main(argv) == 1
     err = capsys.readouterr().err.strip().splitlines()

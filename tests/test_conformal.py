@@ -14,8 +14,8 @@ from synthctl.conformal import (
     default_grid,
     save_p_curve,
 )
-from synthctl.errors import BadConfigError, NotConvergedWarning
-from synthctl.estimators import Method, fit_method
+from synthctl.errors import BadConfigError
+from synthctl.estimators import Method, fit_listener, fit_method
 from synthctl.moments import MomentConfig
 from synthctl.panel import PanelData
 from synthctl.simlab import MixtureDgpConfig, gen_mixture_dgp
@@ -72,12 +72,19 @@ def test_every_inference_estimator_produces_valid_p():
 
 
 def test_unconverged_refit_warns():
+    # the refit's diagnostics do not travel with the bare p-value; a
+    # listener hears of the refit and of its stop before the certificate
     cfg = MixtureDgpConfig(j=4, t0=12, t1=4, k=0, tau=0.0, stationary=True, seed=3)
     panel, _ = gen_mixture_dgp(cfg)
-    with pytest.warns(NotConvergedWarning, match="refit did not converge"):
+    heard = []
+    with fit_listener(lambda *fit: heard.append(fit)):
         p = conformal_p_value(panel, NullSpec(0.0), Method.DMSCM, MomentConfig(g=2),
                               SolverOptions(max_iter=1))
     assert 1 / panel.n_periods <= p <= 1.0
+    [(method, system, weights, diagnostics)] = heard
+    assert method is Method.DMSCM and system.gamma_orders == (1, 2)
+    assert weights.weights.shape == (4,)
+    assert diagnostics.iterations == 1 and not diagnostics.converged
 
 
 def test_vector_null_accepted():
@@ -225,3 +232,41 @@ def test_report_serialization():
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "alpha,p"
     assert len(lines) == 6
+
+
+def reversed_donors(panel):
+    """``panel`` with its donors, and only its donors, in reverse order."""
+    return PanelData(units=panel.units[:1] + panel.units[:0:-1],
+                     outcomes=np.vstack([panel.outcomes[:1], panel.outcomes[:0:-1]]),
+                     t0=panel.t0)
+
+
+def test_donor_order_leaves_p_values_objectives_and_unique_weights():
+    # relabelling the donors permutes the weights and changes nothing else.
+    # Objectives agree relative to themselves, or to b'b where an exact
+    # moment match leaves them at its rounding. Weights on a flat optimal
+    # face (non_unique) are the solver's path's and are not compared
+    fits = [(Method.DMSCM, MomentConfig(g=g)) for g in (2, 4, 8)]
+    fits.append((Method.ABADIE, MomentConfig()))
+    unique = 0
+    for seed in range(4):
+        panel, _ = gen_mixture_dgp(MixtureDgpConfig(j=6, t0=20, t1=10, k=0, seed=seed))
+        flipped = reversed_donors(panel)
+        for method, cfg in fits:
+            systems = []
+            with fit_listener(lambda m, system, w, d: systems.append(system)):
+                fit = fit_method(panel, method, cfg)
+            b = systems[0].b_vector
+            other = fit_method(flipped, method, cfg)
+            f, f_other = fit.diagnostics.final_objective, other.diagnostics.final_objective
+            assert abs(f - f_other) <= 1e-12 * max(f, b @ b), (seed, method, cfg.g)
+            if not (fit.diagnostics.non_unique or other.diagnostics.non_unique):
+                unique += 1
+                np.testing.assert_allclose(other.weights.weights[::-1], fit.weights.weights,
+                                           rtol=0, atol=1e-12)
+            grid = default_grid(panel, fit, points=9)
+            report = confidence_interval(panel, grid, 0.1, method, cfg)
+            assert confidence_interval(flipped, grid, 0.1, method, cfg).p_values == (
+                report.p_values), (seed, method, cfg.g)
+    # G = 8 and abadie on each panel
+    assert unique == 8

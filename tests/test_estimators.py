@@ -6,10 +6,12 @@ import pytest
 import jsonschema
 
 from synthctl import estimators
-from synthctl.errors import SingularMatrixError
+from synthctl.conformal import confidence_interval
+from synthctl.errors import MomentOverflowError, SingularMatrixError
 from synthctl.estimators import (
     BiasLimitInput,
     Method,
+    fit_listener,
     fit_method,
     fit_ols,
     ls_bias_limit,
@@ -252,3 +254,47 @@ def test_every_simplex_fit_hands_the_solver_a_moment_system(monkeypatch):
     assert len(simplex) == len(systems) == 4
     assert all(isinstance(s, MomentSystem) for s in systems)
     assert [s.demeaned for s in systems] == [m.demeaned for m in simplex]
+
+
+def test_fit_listener_hears_each_fit_once_with_the_objects_it_holds(monkeypatch):
+    systems = []
+
+    def spy(system, v, opts):
+        systems.append(system)
+        return solve_simplex_qp(system, v, opts)
+
+    monkeypatch.setattr(estimators, "solve_simplex_qp", spy)
+    panel, _ = gen_mixture_dgp(figure2_spec().dgp_config(5, 3))
+    heard, outer = [], []
+    with fit_listener(lambda *fit: outer.append(fit)):
+        with fit_listener(lambda *fit: heard.append(fit)):
+            fits = [fit_method(panel, m) for m in Method]
+        report = confidence_interval(panel, [-1.0, 0.0, 1.0], 0.1, Method.D2MSCM)
+    assert [h[0] for h in heard] == list(Method)
+    # the fit's own system, weights and diagnostics: nothing is copied
+    assert all(h[1] is s for h, s in zip(heard[:4], systems)) and heard[4][1] is None
+    assert all(h[2] is f.weights and h[3] is f.diagnostics for h, f in zip(heard, fits))
+    # each block hears the fits made inside it: the outer one also hears
+    # the three conformal refits, the inner one's fits first
+    assert len(report.p_values) == 3 and len(systems) == 4 + 3
+    assert len(outer) == 5 + 3
+    assert all(o[k] is h[k] for o, h in zip(outer, heard) for k in range(4))
+    assert [o[0] for o in outer[5:]] == [Method.D2MSCM] * 3
+    assert all(o[1] is s for o, s in zip(outer[5:], systems[4:]))
+
+
+def test_fit_listener_leaves_on_exit_and_hears_no_fit_that_raised():
+    panel, _ = gen_mixture_dgp(figure2_spec().dgp_config(5, 3))
+    heard = []
+    listener = lambda *fit: heard.append(fit)  # noqa: E731
+    with pytest.raises(MomentOverflowError):
+        with fit_listener(listener):
+            fit_method(panel, Method.DMSCM, MomentConfig(g=400, scaling="none"))
+    assert heard == []
+    fit_method(panel, Method.DMSCM)
+    assert heard == [] and estimators._listeners == []
+    with fit_listener(listener), fit_listener(listener):
+        fit_method(panel, Method.ABADIE)
+    # the same listener twice hears each fit twice, then leaves
+    assert [h[0] for h in heard] == [Method.ABADIE] * 2
+    assert estimators._listeners == []
