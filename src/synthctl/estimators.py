@@ -9,11 +9,12 @@ no moment orders. Every fit returns the full counterfactual series, the
 post-period effect series, and solver diagnostics.
 
 ``Method`` holds every per-method decision (simplex weights, moment
-matching, demeaning with an intercept); other modules ask its properties,
-and every fit goes through ``fit_method``.
+matching, demeaning with an intercept); other modules ask its properties.
+``fit_method`` returns a full ``FitResult``; conformal refits and the
+theorem1 experiment, which read only the weights, call ``estimate_weights``.
 
 Every fit, a conformal refit or a study's included, is reported once to the
-listeners registered with ``fit_listener``.
+listeners registered with ``fit_listener``, whichever of the two made it.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import io
 from dataclasses import dataclass
 
@@ -71,23 +70,20 @@ class PanelSchema:
             )
 
 
-@functools.lru_cache(maxsize=8)
-def _default_labels(n_periods: int) -> tuple[int, ...]:
-    """Periods 1..T, built once per length: panels of equal T share the tuple."""
-    return tuple(range(1, n_periods + 1))
-
-
 @dataclass(frozen=True)
 class PanelData:
     """A (J+1) x T outcome panel with the treated unit at row 0.
 
-    Immutable after construction.
+    Immutable after construction. ``period_labels`` is a tuple of the labels
+    given, or ``range(1, T + 1)`` when none are: a range holds no label
+    objects, so a long panel's default labels take constant memory. A range
+    given is kept as it is.
     """
 
     units: tuple[str, ...]
     outcomes: np.ndarray  # shape (J+1, T)
     t0: int
-    period_labels: tuple = ()
+    period_labels: tuple | range = ()
     covariates: np.ndarray | None = None  # shape (J+1, T, K)
 
     def __post_init__(self):
@@ -107,8 +103,8 @@ class PanelData:
         if n_units < 2:
             raise PanelInvariantError("need at least one untreated unit (J >= 1)")
         if not self.period_labels:
-            object.__setattr__(self, "period_labels", _default_labels(n_periods))
-        else:
+            object.__setattr__(self, "period_labels", range(1, n_periods + 1))
+        elif not isinstance(self.period_labels, range):
             object.__setattr__(self, "period_labels", tuple(self.period_labels))
         if len(self.period_labels) != n_periods:
             raise PanelInvariantError(

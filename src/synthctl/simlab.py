@@ -24,6 +24,7 @@ from .errors import BadConfigError, SynthctlError
 from .estimators import (
     BiasLimitInput,
     Method,
+    estimate_weights,
     fit_method,
     ls_bias_limit,
 )
@@ -605,7 +606,8 @@ def theorem1_experiment(spec: Theorem1Spec) -> dict:
     for rep in range(spec.replications):
         panel = _theorem1_panel(spec, derive_seed(spec.seed, rep), buffers)
         ols_sum += ls_unconstrained(panel)
-        gmm_sum += fit_method(panel, Method.DMSCM, cfg).weights.weights
+        # the weights alone: a FitResult's T-length series would go unread
+        gmm_sum += estimate_weights(panel, Method.DMSCM, cfg)[0].weights
     limit = ls_bias_limit(
         BiasLimitInput(
             q_star=np.asarray(spec.q_diag),

@@ -300,18 +300,20 @@ def test_unconverged_fits_warn_once(tmp_path, capsys):
 def test_simulate_warns_on_unconverged_fits(tmp_path, monkeypatch, capsys):
     # simulate has no --max-iter, so the study's first fit is capped at one
     # iteration with tol 0; before, an unconverged study or theorem1 fit
-    # printed nothing. Exit codes and output files are unchanged
+    # printed nothing. Exit codes and output files are unchanged. A study
+    # fits through fit_method, theorem1 through estimate_weights
     import synthctl.simlab as simlab
     from synthctl.solver import SolverOptions
 
-    fit_method = simlab.fit_method
     calls = []
 
-    def first_fit_capped(panel, method, cfg, opts=SolverOptions()):
-        calls.append(method)
-        if len(calls) == 1:
-            opts = SolverOptions(tol=0.0, max_iter=1)
-        return fit_method(panel, method, cfg, opts)
+    def first_fit_capped(fit):
+        def capped(panel, method, cfg, opts=SolverOptions()):
+            calls.append(method)
+            if len(calls) == 1:
+                opts = SolverOptions(tol=0.0, max_iter=1)
+            return fit(panel, method, cfg, opts)
+        return capped
 
     config = tmp_path / "study.ini"
     config.write_text("[study]\nmethods = dmscm,ols\n"
@@ -330,7 +332,8 @@ def test_simulate_warns_on_unconverged_fits(tmp_path, monkeypatch, capsys):
         assert "WARN_NOT_CONVERGED" not in capsys.readouterr().err, preset
         calls.clear()
         with monkeypatch.context() as m:
-            m.setattr(simlab, "fit_method", first_fit_capped)
+            for name in ("fit_method", "estimate_weights"):
+                m.setattr(simlab, name, first_fit_capped(getattr(simlab, name)))
             assert main([*argv, "--output-dir", str(tmp_path / f"{preset}-capped")]) == 0
         warned = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("WARN_NOT_CONVERGED")]

@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,16 +62,27 @@ def test_load_simple_panel():
     np.testing.assert_array_equal(panel.treated_outcomes, [1.0, 2.0, 3.0, 4.0])
 
 
-def test_default_period_labels_built_once_per_length():
-    outcomes = np.random.default_rng(0).normal(size=(2, 7))
-    a = PanelData(units=("tr", "u"), outcomes=outcomes, t0=4)
-    b = PanelData(units=("x", "y"), outcomes=outcomes + 1.0, t0=5)
-    assert a.period_labels == tuple(range(1, 8))
-    assert a.period_labels is b.period_labels
+def test_default_period_labels_peak_is_the_outcomes():
+    # a length no other test uses; the default labels were a tuple of T ints
+    # cached for the life of the process (11.99 MB here), now a range
+    n_periods = 300_007
+    tracemalloc.start()
+    try:
+        outcomes = np.zeros((2, n_periods))
+        panel = PanelData(units=("tr", "u"), outcomes=outcomes, t0=4)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= outcomes.nbytes + 2**12
+    # the finiteness check's one-byte-a-cell mask is the only other array
+    assert peak <= outcomes.nbytes + outcomes.size + 2**12
+    assert panel.period_labels == range(1, n_periods + 1)
     explicit = PanelData(
-        units=("tr", "u"), outcomes=outcomes, t0=4, period_labels=list("abcdefg")
+        units=("tr", "u"), outcomes=outcomes[:, :7], t0=4, period_labels=list("abcdefg")
     )
     assert explicit.period_labels == tuple("abcdefg")
+    # a range given, as with_treated_outcomes passes the labels on, is kept
+    assert panel.with_treated_outcomes(outcomes[1]).period_labels is panel.period_labels
 
 
 def test_treated_moved_to_front():
@@ -294,7 +306,8 @@ def test_csv_round_trip_bitwise(seed):
             csv_stream(buf.getvalue()), schema, treated=units[0], t0=3
         )
         assert reloaded.units == panel.units
-        assert reloaded.period_labels == panel.period_labels
+        # default labels are a range; the reloaded panel holds a tuple
+        assert reloaded.period_labels == tuple(panel.period_labels)
         assert reloaded.outcomes.tobytes() == panel.outcomes.tobytes(), (case, covariates)
         if cov is None:
             assert reloaded.covariates is None

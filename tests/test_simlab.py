@@ -364,6 +364,22 @@ def test_theorem1_draw_peak_is_bounded():
     assert peak <= 2**19
 
 
+def test_theorem1_experiment_peak_is_its_buffers():
+    # beyond the two reused draw buffers (4.0 MB), a FitResult's T-length
+    # counterfactual, effect and pre-period gap per moment-matching fit
+    # peaked at 5.60 MB; the weights alone peak at 4.61 MB
+    spec = Theorem1Spec(replications=2)
+    buffers = sum(b.nbytes for b in _theorem1_buffers(spec))
+    theorem1_experiment(spec)
+    tracemalloc.start()
+    try:
+        theorem1_experiment(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= buffers + 2**20
+
+
 def test_theorem1_experiment_golden(golden):
     golden("studies/theorem1")
 
