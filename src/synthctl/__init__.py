@@ -30,8 +30,8 @@ from .estimators import (
     Method,
     fit_listener,
     fit_method,
-    fit_ols,
     ls_bias_limit,
+    ls_unconstrained,
 )
 from .moments import (
     MomentConfig,
@@ -62,7 +62,6 @@ from .solver import (
     SolveDiagnostics,
     SolverOptions,
     WeightVector,
-    ls_unconstrained,
     project_simplex,
     solve_simplex_qp,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "figure2_spec",
     "fit_listener",
     "fit_method",
-    "fit_ols",
     "gen_mixture_dgp",
     "gmm_objective",
     "load_panel",

@@ -107,6 +107,9 @@ def conformal_p_value(
     {1/T, 2/T, ..., 1}. A method without simplex weights (OLS) is rejected
     with ``BadConfigError``.
     """
+    estimator = Method(estimator)
+    if not estimator.simplex:
+        raise BadConfigError(f"method {estimator.value} has no simplex weights")
     alpha = null.resolve(panel.n_post)
     adjusted = panel.treated_outcomes.copy()
     adjusted[panel.t0 :] -= alpha

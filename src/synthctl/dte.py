@@ -287,9 +287,16 @@ def _median_bandwidth(u: np.ndarray, c: np.ndarray) -> float:
 def _gathers(n: int, n_s: int) -> bool:
     """Whether ``_mmd2_splits`` sums gathered within-sample pairs for n pooled values.
 
-    Per split, the strip product costs about n^2 / 2 multiply-adds and the
+    Per distinct split, the strip product costs about len(u)^2 / 2
+    multiply-adds, u the distinct pooled values (at most n of them), and the
     gather n_s (n_s - 1) / 2 kernel entries of about _GATHER_PAIR_COST
     multiply-adds each. The measured crossover is near n_s / n = 0.09.
+
+    The product path is priced by n, not len(u), on purpose: that confines it
+    to n below about 10 n_s, and so keeps its len(u) x splits count matrix at
+    O(n_s P). Priced by len(u), samples with repeated values took the product
+    path, and the benchmark's ``infer`` workload rose from 62-65 to
+    73.5-73.9 MB peak RSS (2-core x86-64 host).
     """
     return n_s * (n_s - 1) * _GATHER_PAIR_COST < n * n
 

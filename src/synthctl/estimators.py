@@ -5,45 +5,41 @@ Four simplex methods share one fitting path: the density-matching estimators
 the classical baselines (simplex-constrained least squares and its demeaned
 variant) solve the pre-period regression quadratic with the same simplex
 solver: every simplex fit hands it a ``MomentSystem``, a baseline's holding
-no moment orders. Every fit returns the full counterfactual series, the
-post-period effect series, and solver diagnostics.
+no moment orders. The fifth, unconstrained least squares (OLS), is solved in
+closed form by ``ls_unconstrained``. Every fit returns the full
+counterfactual series, the post-period effect series, and solver
+diagnostics.
 
 ``Method`` holds every per-method decision (simplex weights, moment
 matching, demeaning with an intercept); other modules ask its properties.
-``fit_method`` returns a full ``FitResult``; conformal refits and the
-theorem1 experiment, which read only the weights, call ``estimate_weights``.
-
-Every fit, a conformal refit or a study's included, is reported once to the
-listeners registered with ``fit_listener``, whichever of the two made it.
+``estimate_weights`` makes every fit, of any method, and reports it once to
+the listeners registered with ``fit_listener``; ``fit_method`` adds the
+``FitResult``'s series to it. Conformal refits and the theorem1 experiment,
+which read only the weights, call ``estimate_weights`` directly.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadConfigError, SingularMatrixError
+from .errors import SingularGramError, SingularMatrixError
 from .moments import MomentConfig, MomentSystem, build_demeaned_system, build_system
 from .panel import SCHEMA_VERSION, PanelData, demean_rows
-from .solver import (
-    SolveDiagnostics,
-    SolverOptions,
-    WeightVector,
-    ls_unconstrained,
-    solve_simplex_qp,
-)
+from .solver import SolveDiagnostics, SolverOptions, WeightVector, solve_simplex_qp
 
 __all__ = [
     "Method",
     "FitResult",
     "BiasLimitInput",
     "fit_listener",
-    "fit_ols",
     "fit_method",
+    "ls_unconstrained",
     "ls_bias_limit",
 ]
 
@@ -92,14 +88,7 @@ class FitResult:
             "counterfactual": [float(x) for x in self.counterfactual],
             "att": [float(x) for x in self.att],
             "pre_fit_rmse": self.pre_fit_rmse,
-            "diagnostics": {
-                "iterations": self.diagnostics.iterations,
-                "final_objective": self.diagnostics.final_objective,
-                "projected_gradient_norm": self.diagnostics.projected_gradient_norm,
-                "rank_estimate": self.diagnostics.rank_estimate,
-                "converged": self.diagnostics.converged,
-                "non_unique": self.diagnostics.non_unique,
-            },
+            "diagnostics": dataclasses.asdict(self.diagnostics),
         }
 
 
@@ -112,12 +101,11 @@ def fit_listener(listener):
     """Report every fit made inside the block to ``listener``, once.
 
     ``listener(method, system, weights, diagnostics)`` is called as each fit
-    of ``estimate_weights`` or ``fit_ols`` ends, with the objects the fit
-    holds: its ``Method``, its ``MomentSystem`` (None for OLS), its
-    ``WeightVector`` and its ``SolveDiagnostics``. Nothing is copied, so a
-    listener that keeps them must not change them. A fit that raises is not
-    reported. The listener is removed when the block exits, by an exception
-    too.
+    of ``estimate_weights`` ends, with the objects the fit holds: its
+    ``Method``, its ``MomentSystem`` (None for OLS), its ``WeightVector``
+    and its ``SolveDiagnostics``. Nothing is copied, so a listener that
+    keeps them must not change them. A fit that raises is not reported. The
+    listener is removed when the block exits, by an exception too.
     """
     _listeners.append(listener)
     try:
@@ -135,32 +123,48 @@ def _report(method: Method, system: MomentSystem | None, wv: WeightVector,
 def estimate_weights(
     panel: PanelData,
     method: Method,
-    cfg: MomentConfig,
+    cfg: MomentConfig = MomentConfig(),
     opts: SolverOptions = SolverOptions(),
     window: int | None = None,
 ) -> tuple[WeightVector, SolveDiagnostics]:
     """Estimate SC weights for a method over the given estimation window.
 
     The window defaults to the panel's pre-period; conformal refits pass the
-    full span so the adjusted post-period outcomes enter the fit.
+    full span so the adjusted post-period outcomes enter the fit. OLS takes
+    ``ls_unconstrained``'s coefficients and hands the listeners no system.
     """
     window = panel.t0 if window is None else window
     method = Method(method)
+    rows = panel.outcomes[:, :window]
     if not method.simplex:
-        raise BadConfigError(f"method {method.value} has no simplex weights")
-    if method.matches_moments:
+        system = None
+        wv = WeightVector(ls_unconstrained(panel, window), simplex=False)
+        # the objective in one window-length vector, the residual squared in place
+        resid = rows[1:].T @ wv.weights
+        np.subtract(rows[0], resid, out=resid)
+        np.square(resid, out=resid)
+        diag = SolveDiagnostics(
+            iterations=0,
+            final_objective=float(np.mean(resid)),
+            projected_gradient_norm=0.0,
+            # ls_unconstrained has already required full column rank
+            rank_estimate=panel.n_untreated,
+            converged=True,
+        )
+    elif method.matches_moments:
         build = build_demeaned_system if method.demeaned else build_system
         system = build(panel, cfg, window=window)
-    rows = panel.outcomes[:, :window]
-    if method.demeaned:  # fp's rows and either intercept's means
-        means, rows = demean_rows(rows, window)
-    if not method.matches_moments:
+        if method.demeaned:  # the intercept's means
+            means = rows.mean(axis=1)
+    else:
+        if method.demeaned:  # fp's rows and its intercept's means
+            means, rows = demean_rows(rows, window)
         # scale rows by 1/sqrt(window) so the objective is the mean squared error
         rows = rows / math.sqrt(window)
         system = MomentSystem(a_matrix=rows[1:].T, b_vector=rows[0], gamma_orders=(),
                               scale=1.0, demeaned=method.demeaned)
-    wv, diag = solve_simplex_qp(system, None, opts)
-
+    if method.simplex:
+        wv, diag = solve_simplex_qp(system, None, opts)
     if method.demeaned:
         intercept = float(means[0] - wv.weights @ means[1:])
         wv = WeightVector(wv.weights, intercept=intercept)
@@ -190,30 +194,10 @@ def fit_method(
     cfg: MomentConfig = MomentConfig(),
     opts: SolverOptions = SolverOptions(),
 ) -> FitResult:
-    """Fit any method: OLS by least squares, the others by ``estimate_weights``."""
+    """Fit any method by ``estimate_weights``, with its counterfactual and effects."""
     method = Method(method)
-    if not method.simplex:
-        return fit_ols(panel)
     wv, diag = estimate_weights(panel, method, cfg, opts)
     return _result(panel, method, wv, diag)
-
-
-def fit_ols(panel: PanelData) -> FitResult:
-    """Unconstrained least-squares fit (biased under measurement error)."""
-    coef = ls_unconstrained(panel)
-    wv = WeightVector(coef, simplex=False)
-    x = panel.untreated_outcomes[:, : panel.t0].T
-    resid = panel.treated_outcomes[: panel.t0] - x @ coef
-    diag = SolveDiagnostics(
-        iterations=0,
-        final_objective=float(np.mean(resid**2)),
-        projected_gradient_norm=0.0,
-        # ls_unconstrained has already required full column rank
-        rank_estimate=panel.n_untreated,
-        converged=True,
-    )
-    _report(Method.OLS, None, wv, diag)
-    return _result(panel, Method.OLS, wv, diag)
 
 
 @dataclass(frozen=True)
@@ -261,3 +245,46 @@ def ls_bias_limit(inp: BiasLimitInput) -> np.ndarray:
         return np.linalg.solve(denom, inp.q_star @ inp.w_star)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("Q* + Sigma is singular")
+
+
+def ls_unconstrained(panel: PanelData, window: int | None = None) -> np.ndarray:
+    """Ordinary least squares of treated on untreated outcomes over T0 periods.
+
+    T0 is the window's length, the pre-period's by default. No intercept and
+    no simplex constraint; this is the estimator whose probability limit
+    carries the measurement-error attenuation bias.
+
+    Raises SingularGramError when ``np.linalg.matrix_rank`` puts the (T0, J)
+    regressors X below full column rank: when X's computed smallest singular
+    value is at most tol = sigma_max(X) max(T0, J) eps. That SVD costs several
+    times the J x J Gram G = X'X the solve needs anyway, so full rank is
+    first certified from G's smallest computed eigenvalue lam:
+
+    - the computed G is X'X + E with |E| <= gamma_T0 |X|'|X| entrywise (dot
+      products of length T0, gamma_n = n eps / (1 - n eps)), so
+      ||E||_2 <= gamma_T0 ||X||_F^2, and ||X||_F^2 = trace(X'X) equals the
+      computed s = trace(G) to within the same factor;
+    - ``eigvalsh`` is backward stable: lam is exact for G + F with ||F||_2 of
+      order J eps ||G||_2 <= J eps s.
+
+    So by Weyl's inequality sigma_min(X)^2 >= lam - 4 (T0 + J) eps s, where
+    the factor 4 covers gamma and the eigensolver's constant. Full rank is
+    accepted when that bound still exceeds 16 max(T0, J)^2 eps^2 s >= (4 tol)^2,
+    which leaves three tol for the SVD's own rounding of sigma_min, a modest
+    multiple of eps sigma_max. Every other input, singular or merely
+    ill-conditioned, gets the ``matrix_rank`` decision as before; either way
+    the coefficients solve the same Gram.
+    """
+    window = panel.t0 if window is None else window
+    x = panel.untreated_outcomes[:, :window].T  # (T0, J)
+    y = panel.treated_outcomes[:window]
+    gram = x.T @ x
+    t0, j = x.shape
+    eps = np.finfo(float).eps
+    margin = np.trace(gram) * eps * (4 * (t0 + j) + 16 * max(t0, j) ** 2 * eps)
+    certified = np.isfinite(gram).all() and np.linalg.eigvalsh(gram)[0] > margin
+    if not certified and np.linalg.matrix_rank(x) < j:
+        raise SingularGramError(
+            "pre-period Gram matrix of untreated outcomes is singular"
+        )
+    return np.linalg.solve(gram, x.T @ y)

@@ -179,7 +179,8 @@ def demean_rows(outcomes: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarr
     """Each row's mean over the first ``window`` columns, and the rows minus it.
 
     The one demeaning routine: the demeaned moment and least-squares systems
-    and the fitted intercepts all take their means here.
+    take their means and rows here. A d2mscm intercept needs the means alone
+    and takes the same row means of its window, with no demeaned copy.
     """
     means = outcomes[:, :window].mean(axis=1)
     return means, outcomes - means[:, None]

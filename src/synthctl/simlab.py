@@ -31,7 +31,6 @@ from .estimators import (
 from .moments import MomentConfig
 from .panel import SCHEMA_VERSION, PanelData, open_csv
 from .seeding import derive_seed
-from .solver import ls_unconstrained
 
 __all__ = [
     "MixtureDgpConfig",
@@ -246,37 +245,31 @@ class ReplicationRecord:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class CellAggregate:
-    j: int
-    g: int
-    method: Method
-    n: int
-    att_error_median: float
-    att_error_q25: float
-    att_error_q75: float
-    mean_att_error_median: float
-    mean_att_error_q25: float
-    mean_att_error_q75: float
-    weight_error_median: float
-    weight_error_q25: float
-    weight_error_q75: float
-    mmd_median: float | None
-
-
 # the error metrics of a record that each cell summarizes, and the summary
 _METRICS = ("att_error", "mean_att_error", "weight_error")
 _STATS = ("median", "q25", "q75")
 
 
-def _quartiles(records: list[ReplicationRecord]) -> dict[str, float]:
-    """Each of ``_METRICS``' median, 25% and 75% quantiles, named ``<metric>_<stat>``."""
+@dataclass(frozen=True)
+class CellAggregate:
+    """One cell's successful fits: ``quartiles[metric][stat]`` for every
+    metric of ``_METRICS`` and stat of ``_STATS``, and the median MMD."""
+
+    j: int
+    g: int
+    method: Method
+    n: int
+    quartiles: dict[str, dict[str, float]]
+    mmd_median: float | None
+
+
+def _quartiles(records: list[ReplicationRecord]) -> dict[str, dict[str, float]]:
+    """Each of ``_METRICS``' median, 25% and 75% quantiles, keyed by ``_STATS``."""
     m = np.array([[getattr(r, name) for name in _METRICS] for r in records])
     stats = np.vstack([np.median(m, axis=0), np.quantile(m, [0.25, 0.75], axis=0)])
     return {
-        f"{name}_{stat}": float(stats[i, k])
+        name: {stat: float(stats[i, k]) for i, stat in enumerate(_STATS)}
         for k, name in enumerate(_METRICS)
-        for i, stat in enumerate(_STATS)
     }
 
 
@@ -295,10 +288,7 @@ class ReplicationResult:
                     "g": a.g,
                     "method": a.method.value,
                     "n": a.n,
-                    **{
-                        name: {stat: getattr(a, f"{name}_{stat}") for stat in _STATS}
-                        for name in _METRICS
-                    },
+                    **a.quartiles,
                     "mmd_median": a.mmd_median,
                 }
                 for a in self.aggregates
@@ -331,16 +321,14 @@ class ReplicationResult:
         other = "j" if self.spec.x_axis == "g" else "g"
         with open_csv(target, "w") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["x", other, "method", "median", "q25", "q75"])
+            writer.writerow(["x", other, "method", *_STATS])
             for a in self.aggregates:
                 writer.writerow(
                     [
                         getattr(a, self.spec.x_axis),
                         getattr(a, other),
                         a.method.value,
-                        repr(a.mean_att_error_median),
-                        repr(a.mean_att_error_q25),
-                        repr(a.mean_att_error_q75),
+                        *(repr(a.quartiles["mean_att_error"][stat]) for stat in _STATS),
                     ]
                 )
 
@@ -463,7 +451,7 @@ def run_replication_study(spec: StudySpec) -> ReplicationResult:
         mmds = [r.mmd_to_truth for r in ok if r.mmd_to_truth is not None]
         aggregates.append(
             CellAggregate(
-                j=j, g=g, method=method, n=len(ok), **_quartiles(ok),
+                j=j, g=g, method=method, n=len(ok), quartiles=_quartiles(ok),
                 mmd_median=float(np.median(mmds)) if mmds else None,
             )
         )
@@ -605,8 +593,8 @@ def theorem1_experiment(spec: Theorem1Spec) -> dict:
     buffers = _theorem1_buffers(spec)
     for rep in range(spec.replications):
         panel = _theorem1_panel(spec, derive_seed(spec.seed, rep), buffers)
-        ols_sum += ls_unconstrained(panel)
         # the weights alone: a FitResult's T-length series would go unread
+        ols_sum += estimate_weights(panel, Method.OLS)[0].weights
         gmm_sum += estimate_weights(panel, Method.DMSCM, cfg)[0].weights
     limit = ls_bias_limit(
         BiasLimitInput(

@@ -35,10 +35,8 @@ from .errors import (
     BadConfigError,
     DimensionMismatchError,
     MomentOverflowError,
-    SingularGramError,
 )
 from .moments import MomentSystem
-from .panel import PanelData
 
 __all__ = [
     "WeightVector",
@@ -46,7 +44,6 @@ __all__ = [
     "SolverOptions",
     "project_simplex",
     "solve_simplex_qp",
-    "ls_unconstrained",
 ]
 
 
@@ -111,8 +108,8 @@ class SolveDiagnostics:
       flat face; unless the walk certifies a unique minimizer, the fit keeps
       the limit from the uniform start.
 
-    ``fit_ols`` fills the same fields: no iterations, full rank, and the mean
-    squared pre-period residual as its objective.
+    An OLS fit fills the same fields: no iterations, full rank, and the mean
+    squared residual over its window as its objective.
     """
 
     iterations: int
@@ -510,44 +507,3 @@ def solve_simplex_qp(
             non_unique=non_unique,
         ),
     )
-
-
-def ls_unconstrained(panel: PanelData) -> np.ndarray:
-    """Ordinary least squares of treated on untreated pre-period outcomes.
-
-    No intercept and no simplex constraint; this is the estimator whose
-    probability limit carries the measurement-error attenuation bias.
-
-    Raises SingularGramError when ``np.linalg.matrix_rank`` puts the (T0, J)
-    regressors X below full column rank: when X's computed smallest singular
-    value is at most tol = sigma_max(X) max(T0, J) eps. That SVD costs several
-    times the J x J Gram G = X'X the solve needs anyway, so full rank is
-    first certified from G's smallest computed eigenvalue lam:
-
-    - the computed G is X'X + E with |E| <= gamma_T0 |X|'|X| entrywise (dot
-      products of length T0, gamma_n = n eps / (1 - n eps)), so
-      ||E||_2 <= gamma_T0 ||X||_F^2, and ||X||_F^2 = trace(X'X) equals the
-      computed s = trace(G) to within the same factor;
-    - ``eigvalsh`` is backward stable: lam is exact for G + F with ||F||_2 of
-      order J eps ||G||_2 <= J eps s.
-
-    So by Weyl's inequality sigma_min(X)^2 >= lam - 4 (T0 + J) eps s, where
-    the factor 4 covers gamma and the eigensolver's constant. Full rank is
-    accepted when that bound still exceeds 16 max(T0, J)^2 eps^2 s >= (4 tol)^2,
-    which leaves three tol for the SVD's own rounding of sigma_min, a modest
-    multiple of eps sigma_max. Every other input, singular or merely
-    ill-conditioned, gets the ``matrix_rank`` decision as before; either way
-    the coefficients solve the same Gram.
-    """
-    x = panel.untreated_outcomes[:, : panel.t0].T  # (T0, J)
-    y = panel.treated_outcomes[: panel.t0]
-    gram = x.T @ x
-    t0, j = x.shape
-    eps = np.finfo(float).eps
-    margin = np.trace(gram) * eps * (4 * (t0 + j) + 16 * max(t0, j) ** 2 * eps)
-    certified = np.isfinite(gram).all() and np.linalg.eigvalsh(gram)[0] > margin
-    if not certified and np.linalg.matrix_rank(x) < j:
-        raise SingularGramError(
-            "pre-period Gram matrix of untreated outcomes is singular"
-        )
-    return np.linalg.solve(gram, x.T @ y)

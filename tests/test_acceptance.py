@@ -114,7 +114,7 @@ def test_criterion_3_figure2_direction():
     result = run_replication_study(figure2_spec(replications=100, base_seed=0))
     elapsed = time.time() - start
     med = {
-        (a.g, a.method): a.mean_att_error_median for a in result.aggregates
+        (a.g, a.method): a.quartiles["mean_att_error"]["median"] for a in result.aggregates
     }
     beats = {
         g: med[(g, Method.DMSCM)] < med[(g, Method.ABADIE)] for g in (2, 5, 10)

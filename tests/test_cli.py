@@ -298,20 +298,23 @@ def test_unconverged_fits_warn_once(tmp_path, capsys):
 
 
 def test_simulate_warns_on_unconverged_fits(tmp_path, monkeypatch, capsys):
-    # simulate has no --max-iter, so the study's first fit is capped at one
-    # iteration with tol 0; before, an unconverged study or theorem1 fit
-    # printed nothing. Exit codes and output files are unchanged. A study
-    # fits through fit_method, theorem1 through estimate_weights
+    # simulate has no --max-iter, so the study's first moment-matching fit
+    # is capped at one iteration with tol 0; before, an unconverged study or
+    # theorem1 fit printed nothing. Exit codes and output files are
+    # unchanged. A study fits through fit_method, theorem1 through
+    # estimate_weights, whose OLS fits take no solver options
     import synthctl.simlab as simlab
+    from synthctl.moments import MomentConfig
     from synthctl.solver import SolverOptions
 
     calls = []
 
     def first_fit_capped(fit):
-        def capped(panel, method, cfg, opts=SolverOptions()):
-            calls.append(method)
-            if len(calls) == 1:
-                opts = SolverOptions(tol=0.0, max_iter=1)
+        def capped(panel, method, cfg=MomentConfig(), opts=SolverOptions()):
+            if Method(method).matches_moments:
+                calls.append(method)
+                if len(calls) == 1:
+                    opts = SolverOptions(tol=0.0, max_iter=1)
             return fit(panel, method, cfg, opts)
         return capped
 
@@ -321,7 +324,8 @@ def test_simulate_warns_on_unconverged_fits(tmp_path, monkeypatch, capsys):
     runs = (
         # 2 replications of dmscm at 3 values of G, and abadie once
         ("figure2", ["--preset", "figure2"], "1 of 8"),
-        ("theorem1", ["--preset", "theorem1"], "1 of 2"),
+        # 2 replications of one OLS and one dmscm fit each
+        ("theorem1", ["--preset", "theorem1"], "1 of 4"),
         # the same count with ols, which is fitted by least squares once per
         # panel: its fits count too
         ("config", ["--config", str(config)], "1 of 8"),
@@ -341,6 +345,17 @@ def test_simulate_warns_on_unconverged_fits(tmp_path, monkeypatch, capsys):
                           "their weights are not certified optimal"], preset
         assert sorted(p.name for p in (tmp_path / preset).iterdir()) == sorted(
             p.name for p in (tmp_path / f"{preset}-capped").iterdir())
+
+
+def test_fit_listener_hears_both_theorem1_estimates(tmp_path):
+    # each replication fits OLS, then dmscm, through estimate_weights
+    heard = []
+    argv = ["simulate", "--preset", "theorem1", "--replications", "2", "--seed", "0",
+            "--output-dir", str(tmp_path)]
+    with estimators.fit_listener(lambda method, system, *_: heard.append((method, system))):
+        assert main(argv) == 0
+    assert [m for m, _ in heard] == [Method.OLS, Method.DMSCM] * 2
+    assert [s is None for _, s in heard] == [True, False] * 2
 
 
 def test_conformal_passes_other_warnings_on(tmp_path, monkeypatch, capsys):

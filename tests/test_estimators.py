@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from synthctl.errors import MomentOverflowError, SingularMatrixError
 from synthctl.estimators import (
     BiasLimitInput,
     Method,
+    estimate_weights,
     fit_listener,
     fit_method,
-    fit_ols,
     ls_bias_limit,
 )
 from synthctl.moments import MomentConfig, MomentSystem
@@ -195,9 +196,25 @@ def test_ols_fit_result_unconstrained():
     x = rng.normal(0, 1, (2, 60))
     treated = 2.0 * x[0] - 0.5 * x[1] + rng.normal(0, 0.01, 60)
     panel = PanelData(units=("tr", "a", "b"), outcomes=np.vstack([treated, x]), t0=50)
-    fit = fit_ols(panel)
+    fit = fit_method(panel, Method.OLS)
     assert not fit.weights.simplex
     np.testing.assert_allclose(fit.weights.weights, [2.0, -0.5], atol=0.01)
+
+
+def test_ols_estimate_peak_is_one_window_vector():
+    # a (3, 100,001) panel, the theorem1 shape: the residual is formed in
+    # place, in the one T0-length vector its product makes
+    rng = np.random.default_rng(15)
+    panel = PanelData(units=("tr", "a", "b"), outcomes=rng.normal(0.0, 1.0, (3, 100_001)),
+                      t0=100_000)
+    estimate_weights(panel, Method.OLS)
+    tracemalloc.start()
+    try:
+        estimate_weights(panel, Method.OLS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * panel.t0 + 2**16
 
 
 def test_bias_limit_examples():

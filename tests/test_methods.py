@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from synthctl.cli import main
-from synthctl.errors import BadConfigError
 from synthctl.estimators import Method, estimate_weights, fit_method
 from synthctl.moments import MomentConfig
 from synthctl.seeding import derive_seed
@@ -37,13 +36,11 @@ def test_estimate_weights_follows_the_properties(method):
     fit = fit_method(panel, method, cfg)
     assert fit.weights.simplex is method.simplex
     assert (fit.weights.intercept is not None) is method.demeaned
-    if not method.simplex:
-        with pytest.raises(BadConfigError):
-            estimate_weights(panel, method, cfg)
-        return
-    wv, _ = estimate_weights(panel, method, cfg)
-    np.testing.assert_array_equal(wv.weights, fit.weights.weights)
+    # the same fit, bit for bit, OLS included
+    wv, diag = estimate_weights(panel, method, cfg)
+    assert wv.weights.tobytes() == fit.weights.weights.tobytes()
     assert wv.intercept == fit.weights.intercept
+    assert diag == fit.diagnostics
 
 
 @METHODS

@@ -134,9 +134,9 @@ def test_aggregates_recomputable_from_records():
             for r in result.records
             if (r.j, r.g, r.method) == (agg.j, agg.g, agg.method) and r.error is None
         ]
-        assert agg.att_error_median == float(np.median(vals))
-        assert agg.att_error_q25 == float(np.quantile(vals, 0.25))
-        assert agg.att_error_q75 == float(np.quantile(vals, 0.75))
+        assert agg.quartiles["att_error"]["median"] == float(np.median(vals))
+        assert agg.quartiles["att_error"]["q25"] == float(np.quantile(vals, 0.25))
+        assert agg.quartiles["att_error"]["q75"] == float(np.quantile(vals, 0.75))
         assert agg.n == len(vals)
 
 

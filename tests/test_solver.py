@@ -16,7 +16,7 @@ from synthctl.errors import (
     MomentOverflowError,
     SingularGramError,
 )
-from synthctl.estimators import Method, estimate_weights
+from synthctl.estimators import Method, estimate_weights, ls_unconstrained
 from synthctl.moments import MomentConfig, MomentSystem, gmm_objective
 from synthctl.panel import PanelData
 from synthctl.seeding import derive_seed
@@ -27,7 +27,6 @@ from synthctl.solver import (
     WeightVector,
     _fold,
     _lipschitz,
-    ls_unconstrained,
     project_simplex,
     solve_simplex_qp,
 )
