@@ -10,7 +10,6 @@ Carlo simulation lab.
 
 from .conformal import (
     ConformalReport,
-    NullSpec,
     conformal_p_value,
     confidence_interval,
     default_grid,
@@ -78,7 +77,6 @@ __all__ = [
     "MmdReport",
     "MomentConfig",
     "MomentSystem",
-    "NullSpec",
     "PanelData",
     "PanelSchema",
     "ReplicationResult",

@@ -1,12 +1,13 @@
 """Conformal inference for the post-period effect series.
 
-Under the sharp null that the effect equals a candidate vector, the adjusted
-post-period outcomes are folded back into the series, the estimator is refit
-on the full adjusted span, and the mean absolute residual over the
-post-period positions is compared across all cyclic block rotations of the
-residual sequence. The p-value is the exact rank of the identity rotation,
-so it is always a multiple of 1/T and needs no randomness. Confidence
-intervals invert the test over a grid of constant nulls.
+Under the sharp null that the effect equals a candidate value, one constant
+or one value per post period, the adjusted post-period outcomes are folded
+back into the series, the estimator is refit on the full adjusted span, and
+the mean absolute residual over the post-period positions is compared across
+all cyclic block rotations of the residual sequence. The p-value is the
+exact rank of the identity rotation, so it is always a multiple of 1/T and
+needs no randomness. Confidence intervals invert the test over a grid of
+constant nulls.
 """
 
 from __future__ import annotations
@@ -24,32 +25,12 @@ from .panel import SCHEMA_VERSION, PanelData, open_csv
 from .solver import SolverOptions
 
 __all__ = [
-    "NullSpec",
     "ConformalReport",
     "conformal_p_value",
     "confidence_interval",
     "default_grid",
     "save_p_curve",
 ]
-
-
-@dataclass(frozen=True)
-class NullSpec:
-    """A sharp null for the post-period effects: one constant or one value per period."""
-
-    alpha: object  # float or length-T1 array
-
-    def resolve(self, t1: int) -> np.ndarray:
-        arr = np.asarray(self.alpha, dtype=float)
-        if arr.ndim == 0:
-            arr = np.full(t1, float(arr))
-        if arr.shape != (t1,):
-            raise DimensionMismatchError(
-                f"null has {arr.shape[0]} entries for {t1} post periods"
-            )
-        if not np.isfinite(arr).all():
-            raise BadConfigError("null values must be finite")
-        return arr
 
 
 @dataclass(frozen=True)
@@ -95,22 +76,33 @@ def _rotation_statistics(abs_resid: np.ndarray, t0: int) -> np.ndarray:
 
 def conformal_p_value(
     panel: PanelData,
-    null: NullSpec,
+    alpha: float | np.ndarray,
     estimator: Method = Method.DMSCM,
     cfg: MomentConfig = MomentConfig(),
     opts: SolverOptions = SolverOptions(),
 ) -> float:
-    """Exact rank p-value for a sharp null on the post-period effects.
+    """Exact rank p-value for the sharp null "the post-period effects are ``alpha``".
 
-    The returned value is #{rotations with statistic >= identity} / T, over
-    all T cyclic rotations including the identity, so it lies on the grid
-    {1/T, 2/T, ..., 1}. A method without simplex weights (OLS) is rejected
-    with ``BadConfigError``.
+    ``alpha`` is one constant effect or one value per post period; a wrong
+    length raises ``DimensionMismatchError`` and a non-finite value
+    ``BadConfigError``. The returned value is
+    #{rotations with statistic >= identity} / T, over all T cyclic rotations
+    including the identity, so it lies on the grid {1/T, 2/T, ..., 1}. A
+    method without simplex weights (OLS) is rejected with ``BadConfigError``.
     """
     estimator = Method(estimator)
     if not estimator.simplex:
         raise BadConfigError(f"method {estimator.value} has no simplex weights")
-    alpha = null.resolve(panel.n_post)
+    t1 = panel.n_post
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.ndim == 0:
+        alpha = np.full(t1, float(alpha))
+    if alpha.shape != (t1,):
+        raise DimensionMismatchError(
+            f"null has {alpha.shape[0]} entries for {t1} post periods"
+        )
+    if not np.isfinite(alpha).all():
+        raise BadConfigError("null values must be finite")
     adjusted = panel.treated_outcomes.copy()
     adjusted[panel.t0 :] -= alpha
     extended = panel.with_treated_outcomes(adjusted)
@@ -163,7 +155,7 @@ def confidence_interval(
         raise BadConfigError(f"level must lie in (0, 1), got {level}")
 
     p_values = [
-        conformal_p_value(panel, NullSpec(alpha), estimator, cfg, opts) for alpha in grid
+        conformal_p_value(panel, alpha, estimator, cfg, opts) for alpha in grid
     ]
 
     accepted = [float(alpha) for alpha, p in zip(grid, p_values) if p > level]

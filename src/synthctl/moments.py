@@ -120,10 +120,6 @@ class MomentSystem:
     def n_units(self) -> int:
         return self.a_matrix.shape[1]
 
-    @property
-    def n_covariate_rows(self) -> int:
-        return self.n_moments - len(self.gamma_orders)
-
     def discrepancy(self, w: np.ndarray) -> np.ndarray:
         """The empirical moment vector b - A w."""
         w = np.asarray(w, dtype=float)

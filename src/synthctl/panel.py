@@ -132,10 +132,6 @@ class PanelData:
             object.__setattr__(self, "covariates", cov)
 
     @property
-    def treated_unit(self) -> str:
-        return self.units[0]
-
-    @property
     def n_untreated(self) -> int:
         """J, the number of untreated units."""
         return len(self.units) - 1

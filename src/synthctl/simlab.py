@@ -28,7 +28,7 @@ from .estimators import (
     fit_method,
     ls_bias_limit,
 )
-from .moments import MomentConfig
+from .moments import SCALING_MAX_ABS, MomentConfig
 from .panel import SCHEMA_VERSION, PanelData, open_csv
 from .seeding import derive_seed
 
@@ -163,6 +163,11 @@ def sample_true_post_mixture(
     return mu + sd * rng.standard_normal(n)
 
 
+# every study's fits scale by max |outcome| and its MMD compares this many
+# draws from the fit with as many from the truth
+STUDY_SCALING = SCALING_MAX_ABS
+STUDY_MMD_DRAWS = 500
+
 # the generator settings a study passes unchanged to every cell's generator
 DGP_SETTINGS = (
     "t0", "t1", "k", "tau", "drift_var", "var_floor", "var_floor_mode", "stationary"
@@ -174,7 +179,10 @@ class StudySpec:
     """A replication study: a (J, G) grid of DGP cells fit by several methods.
 
     The defaults are the paper's Figure 2 study; the ``DGP_SETTINGS`` take
-    theirs from ``MixtureDgpConfig``. No grid may repeat a value.
+    theirs from ``MixtureDgpConfig``. No grid may repeat a value. Every study
+    fits with ``max_abs`` scaling, matches the covariate rows exactly when
+    k > 0, and, with ``compute_mmd``, draws 500 values from the fit and 500
+    from the truth for each MMD.
     """
 
     j_values: tuple[int, ...] = (10,)
@@ -189,10 +197,7 @@ class StudySpec:
     var_floor: float = MixtureDgpConfig.var_floor
     var_floor_mode: str = MixtureDgpConfig.var_floor_mode
     stationary: bool = MixtureDgpConfig.stationary
-    include_covariates: bool = True
-    scaling: str = "max_abs"
     compute_mmd: bool = False
-    mmd_draws: int = 500
     base_seed: int = 0
 
     def __post_init__(self):
@@ -212,14 +217,11 @@ class StudySpec:
             raise BadConfigError(
                 "the MMD bootstraps the fitted weights; every method needs simplex weights"
             )
-        if self.k == 0 and self.include_covariates:
-            # nothing to include when the DGP generates no covariates
-            object.__setattr__(self, "include_covariates", False)
         # build each cell's settings once, so a bad value fails before any run
         for j in self.j_values:
             self.dgp_config(j, seed=0)
         for g in self.g_values:
-            MomentConfig(g=g, scaling=self.scaling)
+            MomentConfig(g=g, scaling=STUDY_SCALING)
 
     @property
     def x_axis(self) -> str:
@@ -348,9 +350,7 @@ def _fit_record(
         fit = fit_method(
             panel,
             method,
-            MomentConfig(
-                g=g, include_covariates=spec.include_covariates, scaling=spec.scaling
-            ),
+            MomentConfig(g=g, include_covariates=spec.k > 0, scaling=STUDY_SCALING),
         )
         att_error = float(np.mean(np.abs(fit.att - truth.tau)))
         mean_att_error = float(abs(fit.att.mean() - truth.tau))
@@ -358,10 +358,10 @@ def _fit_record(
         mmd_val = None
         if spec.compute_mmd:
             boot = bootstrap_counterfactual(
-                panel, fit.weights, spec.mmd_draws, derive_seed(seed, 1, mmd_index)
+                panel, fit.weights, STUDY_MMD_DRAWS, derive_seed(seed, 1, mmd_index)
             )
             fresh = sample_true_post_mixture(
-                truth, spec.t0, spec.mmd_draws, derive_seed(seed, 2, mmd_index)
+                truth, spec.t0, STUDY_MMD_DRAWS, derive_seed(seed, 2, mmd_index)
             )
             mmd_val = mmd_squared(boot.draws, fresh)
         return ReplicationRecord(

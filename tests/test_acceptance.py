@@ -13,7 +13,7 @@ import io
 import time
 
 import numpy as np
-from synthctl.conformal import NullSpec, conformal_p_value
+from synthctl.conformal import conformal_p_value
 from synthctl.dte import bootstrap_counterfactual, mmd_test
 from synthctl.estimators import Method, fit_method
 from synthctl.moments import MomentConfig, MomentSystem, build_system, gmm_objective
@@ -192,7 +192,7 @@ def test_criterion_5_conformal_validity():
         )
         panel, _ = gen_mixture_dgp(cfg)
         p = conformal_p_value(
-            panel, NullSpec(0.0), Method.DMSCM, MomentConfig(g=2, scaling="max_abs")
+            panel, 0.0, Method.DMSCM, MomentConfig(g=2, scaling="max_abs")
         )
         t = panel.n_periods
         if abs(p * t - round(p * t)) > 1e-9:

@@ -7,14 +7,13 @@ import pytest
 import jsonschema
 
 from synthctl.conformal import (
-    NullSpec,
     _rotation_statistics,
     confidence_interval,
     conformal_p_value,
     default_grid,
     save_p_curve,
 )
-from synthctl.errors import BadConfigError
+from synthctl.errors import BadConfigError, DimensionMismatchError
 from synthctl.estimators import Method, fit_listener, fit_method
 from synthctl.moments import MomentConfig
 from synthctl.panel import PanelData
@@ -35,7 +34,7 @@ def test_all_tied_residuals_give_p_one():
     # treated == unit a, so residuals vanish at every period and every
     # rotation ties with the identity
     panel = exact_copy_panel()
-    p = conformal_p_value(panel, NullSpec(0.0), Method.DMSCM, MomentConfig(g=2))
+    p = conformal_p_value(panel, 0.0, Method.DMSCM, MomentConfig(g=2))
     assert p == 1.0
 
 
@@ -49,7 +48,7 @@ def test_single_post_spike_gives_one_over_t():
         t0=t0,
     )
     # a null far from zero makes the single adjusted post residual dominate
-    p = conformal_p_value(panel, NullSpec(50.0), Method.DMSCM, MomentConfig(g=2))
+    p = conformal_p_value(panel, 50.0, Method.DMSCM, MomentConfig(g=2))
     assert p == pytest.approx(1 / 10)
 
 
@@ -58,7 +57,7 @@ def test_p_values_are_rank_multiples():
     panel, _ = gen_mixture_dgp(cfg)
     t = panel.n_periods
     for alpha in (-1.0, 0.0, 2.5):
-        p = conformal_p_value(panel, NullSpec(alpha), Method.DMSCM, MomentConfig(g=2))
+        p = conformal_p_value(panel, alpha, Method.DMSCM, MomentConfig(g=2))
         assert p * t == pytest.approx(round(p * t))
         assert 1 / t <= p <= 1.0
 
@@ -67,7 +66,7 @@ def test_every_inference_estimator_produces_valid_p():
     cfg = MixtureDgpConfig(j=4, t0=18, t1=6, k=0, tau=0.0, stationary=True, seed=31)
     panel, _ = gen_mixture_dgp(cfg)
     for estimator in (Method.DMSCM, Method.D2MSCM, Method.ABADIE, Method.FP_DEMEANED):
-        p = conformal_p_value(panel, NullSpec(0.0), estimator, MomentConfig(g=2))
+        p = conformal_p_value(panel, 0.0, estimator, MomentConfig(g=2))
         assert 1 / panel.n_periods <= p <= 1.0
 
 
@@ -78,7 +77,7 @@ def test_unconverged_refit_warns():
     panel, _ = gen_mixture_dgp(cfg)
     heard = []
     with fit_listener(lambda *fit: heard.append(fit)):
-        p = conformal_p_value(panel, NullSpec(0.0), Method.DMSCM, MomentConfig(g=2),
+        p = conformal_p_value(panel, 0.0, Method.DMSCM, MomentConfig(g=2),
                               SolverOptions(max_iter=1))
     assert 1 / panel.n_periods <= p <= 1.0
     [(method, system, weights, diagnostics)] = heard
@@ -91,11 +90,17 @@ def test_vector_null_accepted():
     cfg = MixtureDgpConfig(j=3, t0=10, t1=3, k=0, tau=0.0, stationary=True, seed=5)
     panel, _ = gen_mixture_dgp(cfg)
     p = conformal_p_value(
-        panel, NullSpec(np.array([0.0, 1.0, -1.0])), Method.DMSCM, MomentConfig(g=2)
+        panel, np.array([0.0, 1.0, -1.0]), Method.DMSCM, MomentConfig(g=2)
     )
     assert 0 < p <= 1.0
     with pytest.raises(Exception):
-        conformal_p_value(panel, NullSpec(np.array([0.0, 1.0])), Method.DMSCM)
+        conformal_p_value(panel, np.array([0.0, 1.0]), Method.DMSCM)
+    # each mistake in the null has its own error code
+    with pytest.raises(DimensionMismatchError):
+        conformal_p_value(panel, [0.0, 1.0, 2.0, 3.0], Method.DMSCM)
+    for bad in (np.nan, -np.inf, [0.0, np.nan, 1.0]):
+        with pytest.raises(BadConfigError):
+            conformal_p_value(panel, bad, Method.DMSCM)
 
 
 def rotation_statistics_loop(abs_resid, t0):
@@ -196,7 +201,7 @@ def test_level_validation_and_sorted_grid():
     with pytest.raises(BadConfigError):
         confidence_interval(panel, [1.0, 0.0], 0.1, Method.DMSCM, MomentConfig(g=2))
     with pytest.raises(BadConfigError):
-        conformal_p_value(panel, NullSpec(0.0), Method.OLS, MomentConfig(g=2))
+        conformal_p_value(panel, 0.0, Method.OLS, MomentConfig(g=2))
 
 
 def test_interval_coverage_under_no_effect():

@@ -271,7 +271,7 @@ def test_covariate_rows_appended():
     panel = PanelData(units=("tr", "a", "b"), outcomes=outcomes, t0=6, covariates=covs)
     system = build_system(panel, MomentConfig(g=2, include_covariates=True, scaling="none"))
     assert system.n_moments == 4
-    assert system.n_covariate_rows == 2
+    assert system.n_moments - len(system.gamma_orders) == 2
     np.testing.assert_allclose(system.b_vector[2], covs[0, :6, 0].mean())
 
 

@@ -210,7 +210,7 @@ def test_appendix_d_spec_varies_j():
 def test_compute_mmd_records_values():
     spec = StudySpec(
         j_values=(3,), g_values=(2,), methods=(Method.DMSCM,), replications=2,
-        t0=15, t1=20, k=0, base_seed=6, compute_mmd=True, mmd_draws=50,
+        t0=15, t1=20, k=0, base_seed=6, compute_mmd=True,
     )
     result = run_replication_study(spec)
     assert all(r.mmd_to_truth is not None for r in result.records)
@@ -235,7 +235,6 @@ def test_study_rejects_mmd_without_simplex_weights():
         {"var_floor": 0.0},
         {"var_floor_mode": "never"},
         {"g_values": (2, 0)},
-        {"scaling": "bogus"},
     ],
 )
 def test_study_spec_rejects_bad_cell_settings(overrides):
