@@ -36,7 +36,6 @@ from .seeding import derive_seed
 from .simlab import (
     DGP_SETTINGS,
     MixtureDgpConfig,
-    StudySpec,
     Theorem1Spec,
     appendix_d_spec,
     figure2_spec,
@@ -360,7 +359,7 @@ def _study_from_config(path: str) -> dict:
 
 
 # --preset -> the replication study it starts from; overrides win over it
-_STUDY_PRESETS = {"figure2": figure2_spec, "appendixD": appendix_d_spec, "custom": StudySpec}
+_STUDY_PRESETS = {"figure2": figure2_spec, "appendixD": appendix_d_spec}
 
 
 def cmd_simulate(args) -> int:
@@ -465,8 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a replication study")
     p_sim.add_argument(
-        "--preset", choices=("figure2", "appendixD", "theorem1", "custom"),
-        default="custom",
+        "--preset", choices=("figure2", "appendixD", "theorem1"), default="figure2"
     )
     p_sim.add_argument("--config", help="INI study config ([study] and [dgp] sections)")
     p_sim.add_argument("--replications", type=int)

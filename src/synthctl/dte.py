@@ -118,8 +118,8 @@ def bootstrap_counterfactual(
     # step (ii): unit selection with the weight probabilities
     cum = np.cumsum(w)
     cum[-1] = 1.0
+    # every draw is below cum[-1] = 1.0, so the search returns at most j - 1
     units = np.searchsorted(cum, rng.random(l), side="right")
-    units = np.minimum(units, j - 1)
     draws = post[units, per_unit[np.arange(l), units]]
     if weights.intercept is not None:
         draws = draws + weights.intercept
@@ -320,8 +320,7 @@ def _within_pair_sums(x: np.ndarray, scale: float) -> np.ndarray:
             d = buf[: xb.shape[0] * (n_s - 1 - i)].reshape(xb.shape[0], -1)
             np.subtract(xb[:, i + 1 :], xb[:, i : i + 1], out=d)
             np.square(d, out=d)
-            np.negative(d, out=d)
-            np.divide(d, scale, out=d)
+            np.divide(d, -scale, out=d)
             np.exp(d, out=d)
             acc += d.sum(axis=1)
     return sums
@@ -344,9 +343,10 @@ def _mmd2_splits(
 
     Strip K[start:stop, start:] covers the upper block triangle only (K is
     symmetric) and holds at most _STRIP_ELEMS values. Its entries
-    exp(-(u_a - u_b)**2 / (2 h^2)) are formed with the same operations as
-    the dense matrix, so each is bit-identical to it; so are the entries
-    the gather path forms.
+    exp(-(u_a - u_b)**2 / (2 h^2)) are formed as exp((u_a - u_b)**2 / -(2 h^2)),
+    with no negating pass: IEEE division rounds the magnitude alone, so each
+    is bit-identical to the dense matrix's entry; so are the entries the
+    gather path forms.
 
     q comes from one of two paths, chosen by ``_gathers`` on the numbers of
     positions, n and n_s:
@@ -390,8 +390,7 @@ def _mmd2_splits(
         width = stop - start
         strip = u[start:stop, None] - u[None, start:]
         np.square(strip, out=strip)
-        np.negative(strip, out=strip)
-        np.divide(strip, scale, out=strip)
+        np.divide(strip, -scale, out=strip)
         np.exp(strip, out=strip)
         r[start:stop] += strip @ weights[start:]
         r[stop:] += weights[start:stop] @ strip[:, width:]
@@ -415,6 +414,22 @@ def _mmd2_splits(
     return stats if inverse is None else stats[inverse]
 
 
+def _pooled(a, b):
+    """The samples' sizes, and their pooled sample as ``np.unique`` reduces it.
+
+    Returns n_a, n_b, the distinct values u, each pooled position's index
+    into u, the counts c and the median-heuristic bandwidth. Both samples
+    need at least 2 observations.
+    """
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
+    n_a, n_b = a.shape[0], b.shape[0]
+    if n_a < 2 or n_b < 2:
+        raise DimensionMismatchError("both samples need at least 2 observations")
+    u, at, c = np.unique(np.concatenate([a, b]), return_inverse=True, return_counts=True)
+    return n_a, n_b, u, at, c, _median_bandwidth(u, c)
+
+
 def _smaller_sample(n_a: int, n_b: int) -> slice:
     """Positions of the smaller sample in the pooled sample, a then b."""
     return slice(0, n_a) if n_a <= n_b else slice(n_a, n_a + n_b)
@@ -431,13 +446,7 @@ def mmd_squared(a, b) -> float:
     rounds differently than with ``mmd_test``'s column per distinct split,
     so the two can differ in the last bits (a few 1e-15 absolute).
     """
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    n_a, n_b = a.shape[0], b.shape[0]
-    if n_a < 2 or n_b < 2:
-        raise DimensionMismatchError("both samples need at least 2 observations")
-    u, at, c = np.unique(np.concatenate([a, b]), return_inverse=True, return_counts=True)
-    h = _median_bandwidth(u, c)
+    n_a, n_b, u, at, c, h = _pooled(a, b)
     observed = np.sort(at[_smaller_sample(n_a, n_b)])[None, :]
     return float(_mmd2_splits(u, c, h, observed)[0])
 
@@ -462,16 +471,10 @@ def mmd_test(a, b, permutations: int = 500, seed: int = 0) -> MmdReport:
     O(len(u) * permutations) more where the split statistics come from the
     strip product (see ``_mmd2_splits``). No n x n array is built.
     """
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    n_a, n_b = a.shape[0], b.shape[0]
-    if n_a < 2 or n_b < 2:
-        raise DimensionMismatchError("both samples need at least 2 observations")
+    n_a, n_b, u, at, c, h = _pooled(a, b)
     if permutations < 1:
         raise DimensionMismatchError("need at least one permutation")
-    u, at, c = np.unique(np.concatenate([a, b]), return_inverse=True, return_counts=True)
     n = n_a + n_b
-    h = _median_bandwidth(u, c)
 
     rng = np.random.default_rng(seed)
     n_s = min(n_a, n_b)

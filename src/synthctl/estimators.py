@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularGramError, SingularMatrixError
+from .errors import MomentOverflowError, SingularGramError, SingularMatrixError
 from .moments import MomentConfig, MomentSystem, build_demeaned_system, build_system
 from .panel import SCHEMA_VERSION, PanelData, demean_rows
 from .solver import SolveDiagnostics, SolverOptions, WeightVector, solve_simplex_qp
@@ -254,10 +254,13 @@ def ls_unconstrained(panel: PanelData, window: int | None = None) -> np.ndarray:
     no simplex constraint; this is the estimator whose probability limit
     carries the measurement-error attenuation bias.
 
+    Raises MomentOverflowError when the Gram G = X'X is not finite: the
+    outcomes square past the double range, as a moment system's do.
+
     Raises SingularGramError when ``np.linalg.matrix_rank`` puts the (T0, J)
     regressors X below full column rank: when X's computed smallest singular
     value is at most tol = sigma_max(X) max(T0, J) eps. That SVD costs several
-    times the J x J Gram G = X'X the solve needs anyway, so full rank is
+    times the J x J Gram G the solve needs anyway, so full rank is
     first certified from G's smallest computed eigenvalue lam:
 
     - the computed G is X'X + E with |E| <= gamma_T0 |X|'|X| entrywise (dot
@@ -278,11 +281,17 @@ def ls_unconstrained(panel: PanelData, window: int | None = None) -> np.ndarray:
     window = panel.t0 if window is None else window
     x = panel.untreated_outcomes[:, :window].T  # (T0, J)
     y = panel.treated_outcomes[:window]
-    gram = x.T @ x
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = x.T @ x
+    if not np.isfinite(gram).all():
+        raise MomentOverflowError(
+            "pre-period Gram matrix of untreated outcomes is not finite; "
+            "rescale the outcomes"
+        )
     t0, j = x.shape
     eps = np.finfo(float).eps
     margin = np.trace(gram) * eps * (4 * (t0 + j) + 16 * max(t0, j) ** 2 * eps)
-    certified = np.isfinite(gram).all() and np.linalg.eigvalsh(gram)[0] > margin
+    certified = np.linalg.eigvalsh(gram)[0] > margin
     if not certified and np.linalg.matrix_rank(x) < j:
         raise SingularGramError(
             "pre-period Gram matrix of untreated outcomes is singular"

@@ -75,9 +75,10 @@ class PanelData:
     """A (J+1) x T outcome panel with the treated unit at row 0.
 
     Immutable after construction. ``period_labels`` is a tuple of the labels
-    given, or ``range(1, T + 1)`` when none are: a range holds no label
-    objects, so a long panel's default labels take constant memory. A range
-    given is kept as it is.
+    given, as any sequence, or ``range(1, T + 1)`` when none are: a range
+    holds no label objects, so a long panel's default labels take constant
+    memory. A range given is kept as it is. ``covariates``, if given, is a
+    (J+1, T, K) array: one value per unit, period and covariate.
     """
 
     units: tuple[str, ...]
@@ -102,7 +103,7 @@ class PanelData:
             raise PanelInvariantError("unit identifiers must be unique")
         if n_units < 2:
             raise PanelInvariantError("need at least one untreated unit (J >= 1)")
-        if not self.period_labels:
+        if len(self.period_labels) == 0:
             object.__setattr__(self, "period_labels", range(1, n_periods + 1))
         elif not isinstance(self.period_labels, range):
             object.__setattr__(self, "period_labels", tuple(self.period_labels))
@@ -118,13 +119,10 @@ class PanelData:
             )
         if self.covariates is not None:
             cov = np.asarray(self.covariates, dtype=float)
-            if cov.ndim == 2:
-                # one time-invariant value per unit and covariate, broadcast over periods
-                cov = np.repeat(cov[:, None, :], n_periods, axis=1)
-            if cov.shape[:2] != (n_units, n_periods):
+            if cov.ndim != 3 or cov.shape[:2] != (n_units, n_periods):
                 raise PanelInvariantError(
-                    f"covariates shape {cov.shape} does not match panel "
-                    f"({n_units} units x {n_periods} periods)"
+                    f"covariates shape {cov.shape} is not ({n_units} units, "
+                    f"{n_periods} periods, K covariates)"
                 )
             if not np.isfinite(cov).all():
                 raise PanelInvariantError("covariates contain non-finite entries")
@@ -244,22 +242,12 @@ def _read_cells(source, schema: PanelSchema) -> tuple[dict, dict]:
 def load_panel(source, schema: PanelSchema, treated: str, t0: int) -> PanelData:
     """Load a long-format CSV into a PanelData.
 
-    ``source`` is a path, a text stream, or a byte stream of UTF-8 CSV with a
+    ``source`` is a path to a UTF-8 CSV file, or a text stream of one, with a
     header row. Every (unit, period) pair must appear exactly once; the
     treated unit is moved to row 0 and the remaining units keep sorted order.
     """
     with open_csv(source, "r") as fh:
-        if isinstance(fh, (io.RawIOBase, io.BufferedIOBase)) or (
-            hasattr(fh, "read") and isinstance(fh.read(0), bytes)
-        ):
-            text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
-            try:
-                cells, covs = _read_cells(text, schema)
-            finally:
-                # the caller owns the byte stream; a collected wrapper would close it
-                text.detach()
-        else:
-            cells, covs = _read_cells(fh, schema)
+        cells, covs = _read_cells(fh, schema)
 
     if not cells:
         raise PanelParseError("CSV contains no data rows")
@@ -308,30 +296,23 @@ def _csv_fields(values) -> list[str]:
     return fields
 
 
-def save_panel(panel: PanelData, target, schema: PanelSchema | None = None) -> None:
+def save_panel(panel: PanelData, target) -> None:
     """Write a panel as long-format CSV that round-trips bitwise through load_panel.
 
-    The bytes ``csv.writer`` would write, one row per (unit, period) in panel
-    order: header and labels quoted as the writer quotes them, ``repr`` of
-    each float (which Python guarantees to parse back to the identical double
-    and which never needs quoting), and ``\r\n`` line ends, in one ``write``
-    call.
+    The header is ``unit,period,outcome,x1,...,xK``, which ``PanelSchema``'s
+    defaults read, with ``covariates=("x1", ..., "xK")``. The bytes
+    ``csv.writer`` would write, one row per (unit, period) in panel order:
+    labels quoted as the writer quotes them, ``repr`` of each float (which
+    Python guarantees to parse back to the identical double and which never
+    needs quoting), and ``\r\n`` line ends, in one ``write`` call.
     """
-    if schema is None:
-        schema = PanelSchema(
-            covariates=tuple(f"x{k + 1}" for k in range(panel.n_covariates))
-        )
-    if len(schema.covariates) != panel.n_covariates:
-        raise PanelParseError(
-            f"schema declares {len(schema.covariates)} covariates, "
-            f"panel has {panel.n_covariates}"
-        )
     values = panel.outcomes[:, :, None]
     if panel.covariates is not None:
         values = np.concatenate((values, panel.covariates), axis=2)
-    header = [schema.unit, schema.period, schema.outcome, *schema.covariates]
+    header = ["unit", "period", "outcome"]
+    header += (f"x{k + 1}" for k in range(panel.n_covariates))
     periods = [p + "," for p in _csv_fields(panel.period_labels)]
-    lines = [",".join(_csv_fields(header))]
+    lines = [",".join(header)]
     for unit, rows in zip(_csv_fields(panel.units), values.tolist()):
         unit += ","
         lines.extend(

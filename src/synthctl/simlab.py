@@ -15,6 +15,7 @@ results do not depend on which replications ran before it.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -83,8 +84,12 @@ class MixtureDgpConfig:
             raise BadConfigError("covariate dimension must be >= 0")
         if self.var_floor_mode not in ("level", "increment"):
             raise BadConfigError("var_floor_mode must be 'level' or 'increment'")
-        if self.var_floor <= 0:
-            raise BadConfigError("var_floor must be positive")
+        if not 0 < self.var_floor < math.inf:
+            raise BadConfigError("var_floor must be positive and finite")
+        if not math.isfinite(self.tau):
+            raise BadConfigError("tau must be finite")
+        if not 0 <= self.drift_var < math.inf:
+            raise BadConfigError("drift_var must be non-negative and finite")
 
 
 @dataclass(frozen=True)

@@ -79,9 +79,6 @@ class WeightVector:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
-    def __len__(self) -> int:
-        return self.weights.shape[0]
-
     def predict(self, untreated: np.ndarray) -> np.ndarray:
         """The weighted series ``weights @ untreated``, plus the intercept if any."""
         series = self.weights @ untreated

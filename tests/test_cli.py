@@ -717,6 +717,12 @@ SIMULATE_DGP = "[dgp]\nj = 3\ng = 2\nt0 = 12\nt1 = 5\nk = 0\n"
         (SIMULATE_DGP.replace("j = 3", "j = ,"), "BAD_CONFIG"),
         (SIMULATE_DGP.replace("j = 3", "j = 3,x"), "BAD_LIST"),
         ("[study]\nmethods = dmscm, bogus\n" + SIMULATE_DGP, "BAD_METHOD"),
+        # generator settings the draw cannot use, rejected when declared
+        (SIMULATE_DGP + "tau = nan\n", "BAD_CONFIG"),
+        (SIMULATE_DGP + "tau = inf\n", "BAD_CONFIG"),
+        (SIMULATE_DGP + "var_floor = nan\n", "BAD_CONFIG"),
+        (SIMULATE_DGP + "drift_var = -5\n", "BAD_CONFIG"),
+        (SIMULATE_DGP + "drift_var = inf\n", "BAD_CONFIG"),
     ],
 )
 def test_simulate_config_mistakes_exit_1_without_output_dir(tmp_path, capsys, config, code):

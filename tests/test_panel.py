@@ -1,5 +1,4 @@
 import csv
-import gc
 import io
 import itertools
 import tracemalloc
@@ -183,26 +182,6 @@ def test_extra_cells_ignored():
     np.testing.assert_array_equal(panel.outcomes, expected.outcomes)
 
 
-def test_byte_stream_input():
-    panel = load_panel(
-        io.BytesIO(SIMPLE_CSV.encode()), PanelSchema(), treated="A", t0=2
-    )
-    assert panel.units[0] == "A"
-
-
-def test_byte_stream_left_open():
-    # the caller owns a byte stream it passes in, on success and on error
-    stream = io.BytesIO(SIMPLE_CSV.encode())
-    load_panel(stream, PanelSchema(), treated="A", t0=2)
-    gc.collect()
-    assert not stream.closed
-    broken = io.BytesIO((SIMPLE_CSV + "A,4,9.9\n").encode())
-    with pytest.raises(PanelParseError):
-        load_panel(broken, PanelSchema(), treated="A", t0=2)
-    gc.collect()
-    assert not broken.closed
-
-
 def test_covariates_loaded_in_declared_order():
     text = "unit,period,outcome,x1,x2\n"
     for unit in ("A", "B"):
@@ -214,15 +193,33 @@ def test_covariates_loaded_in_declared_order():
     np.testing.assert_array_equal(panel.covariates[0, 0], [100.0, 10.0])
 
 
-def test_time_invariant_covariates_broadcast():
+def test_time_invariant_covariates_rejected():
+    # covariates come as (J+1, T, K) only; a (J+1, K) array is not broadcast,
+    # not even when K = T makes its first two axes the panel's
+    for n_covariates in (2, 4):
+        with pytest.raises(PanelInvariantError, match="covariates shape"):
+            PanelData(
+                units=("tr", "a"),
+                outcomes=np.zeros((2, 4)),
+                t0=2,
+                covariates=np.ones((2, n_covariates)),
+            )
+
+
+def test_period_labels_any_sequence():
+    # an array has no truth value; its length decides whether labels were given
     panel = PanelData(
-        units=("tr", "a"),
-        outcomes=np.zeros((2, 4)),
-        t0=2,
-        covariates=np.array([[1.0, 2.0], [3.0, 4.0]]),
+        units=("tr", "a"), outcomes=np.zeros((2, 4)), t0=2, period_labels=np.arange(4)
     )
-    assert panel.covariates.shape == (2, 4, 2)
-    np.testing.assert_array_equal(panel.covariates[1, 3], [3.0, 4.0])
+    assert panel.period_labels == (0, 1, 2, 3)
+    with pytest.raises(PanelInvariantError, match="3 period labels"):
+        PanelData(
+            units=("tr", "a"), outcomes=np.zeros((2, 4)), t0=2, period_labels=np.arange(3)
+        )
+    empty = PanelData(
+        units=("tr", "a"), outcomes=np.zeros((2, 4)), t0=2, period_labels=np.arange(0)
+    )
+    assert empty.period_labels == range(1, 5)
 
 
 def test_nan_outcome_rejected():
@@ -272,19 +269,15 @@ EXTREMES = (-0.0, 5e-324, 1.7976931348623157e308)
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_csv_round_trip_bitwise(seed):
-    # every label and value case with every covariate layout, per seed
+    # every label and value case with and without covariates, per seed
     for case, covariates in itertools.product(
-        ("plain", "odd_units", "str_periods", "extremes"), ("none", "3d", "2d")
+        ("plain", "odd_units", "str_periods", "extremes"), (False, True)
     ):
         rng = np.random.default_rng(seed)
         units = ODD_UNITS if case == "odd_units" else ("tr", "a", "b")
         n_units, n_periods = len(units), 5
         outcomes = rng.normal(0, 1e3, (n_units, n_periods))
-        cov = {
-            "none": None,
-            "3d": rng.normal(0, 7, (n_units, n_periods, 2)),
-            "2d": rng.normal(0, 7, (n_units, 2)),  # time-invariant, broadcast
-        }[covariates]
+        cov = rng.normal(0, 7, (n_units, n_periods, 2)) if covariates else None
         if case == "extremes":
             outcomes[:, :3] = EXTREMES
             if cov is not None:
@@ -298,7 +291,7 @@ def test_csv_round_trip_bitwise(seed):
             period_type="str" if labels else "int",
         )
         buf = io.StringIO()
-        save_panel(panel, buf, schema)
+        save_panel(panel, buf)
         expected = io.StringIO()
         _reference_save_panel(panel, expected, schema)
         assert buf.getvalue() == expected.getvalue(), (case, covariates)

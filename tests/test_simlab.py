@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -235,6 +236,13 @@ def test_study_rejects_mmd_without_simplex_weights():
         {"var_floor": 0.0},
         {"var_floor_mode": "never"},
         {"g_values": (2, 0)},
+        {"tau": math.nan},
+        {"tau": math.inf},
+        {"var_floor": math.nan},
+        {"var_floor": math.inf},
+        {"drift_var": -5.0},
+        {"drift_var": math.nan},
+        {"drift_var": math.inf},
     ],
 )
 def test_study_spec_rejects_bad_cell_settings(overrides):

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -908,7 +909,7 @@ def test_weight_vector_validation():
         WeightVector(np.array([-0.1, 1.1]))
     wv = WeightVector(np.array([0.4, 0.6]), intercept=2.5)
     assert wv.intercept == 2.5
-    assert len(wv) == 2
+    assert wv.weights.shape == (2,)
     # tiny negatives from float arithmetic are clamped
     clamped = WeightVector(np.array([1.0 + 1e-13, -1e-13]))
     assert clamped.weights.min() == 0.0
@@ -936,6 +937,19 @@ def test_ls_unconstrained_singular_gram():
     )
     with pytest.raises(SingularGramError):
         ls_unconstrained(panel)
+
+
+def test_ls_unconstrained_gram_overflow():
+    # outcomes of +-1e200 square past the double range: the OLS fit reports
+    # OVERFLOW, as a simplex fit's moment system does, with no numpy warning
+    rng = np.random.default_rng(14)
+    panel = PanelData(
+        units=("tr", "a", "b"), outcomes=rng.choice([-1e200, 1e200], (3, 12)), t0=9
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MomentOverflowError):
+            ls_unconstrained(panel)
 
 
 @pytest.mark.parametrize(
